@@ -8,7 +8,9 @@
 # spans), then shut down gracefully and require a clean exit. A second
 # phase starts the server with --cache-dir, kills it with SIGKILL,
 # restarts it on the same directory, and requires the warm answer from
-# disk plus an incremental resume from the spilled checkpoint.
+# disk plus an incremental resume from the spilled checkpoint. A third
+# phase holds a silent connection open across POST /v1/shutdown and
+# requires the server to drop it and exit within its I/O bound.
 #
 # Usage: scripts/service_smoke.sh [path/to/campaign_server]
 # (defaults to build/examples/campaign_server). CI runs this against
@@ -240,4 +242,32 @@ RC=0
 wait "$SERVER_PID" || RC=$?
 SERVER_PID=
 [ "$RC" = 0 ] || fail "restarted server exited $RC after shutdown"
+
+# --- Phase 3: a silent peer cannot hold the server up ---------------
+# Open a connection that never sends a byte, then ask for shutdown:
+# the per-connection I/O bound (5 s by default) must drop the peer so
+# the process exits on its own within the bound plus a margin.
+IO_BOUND_S=5
+MARGIN_S=5
+rm -f "$WORK/port"
+"$SERVER" --port 0 --port-file "$WORK/port" &
+SERVER_PID=$!
+wait_for_port
+exec 3<>"/dev/tcp/127.0.0.1/$PORT"
+curl -sSf -XPOST "$BASE/v1/shutdown" > /dev/null \
+    || fail "shutdown endpoint with a silent peer open"
+START=$(date +%s)
+while kill -0 "$SERVER_PID" 2>/dev/null; do
+    [ $(( $(date +%s) - START )) -le $(( IO_BOUND_S + MARGIN_S )) ] \
+        || fail "server still running $(( IO_BOUND_S + MARGIN_S )) s" \
+                "after shutdown with a silent peer open"
+    sleep 0.2
+done
+RC=0
+wait "$SERVER_PID" || RC=$?
+SERVER_PID=
+exec 3>&-
+[ "$RC" = 0 ] || fail "server exited $RC after dropping the silent peer"
+echo "service_smoke: silent peer dropped, server exited" \
+     "in $(( $(date +%s) - START )) s"
 echo "service_smoke: PASS"

@@ -27,12 +27,14 @@ ResultCache::ResultCache(std::size_t maxEntries, obs::Registry *registry,
 }
 
 std::optional<std::string>
-ResultCache::get(const std::string &key)
+ResultCache::get(const std::string &key, bool countMiss)
 {
     const std::uint64_t h = fnv1a64(key);
     std::lock_guard<std::mutex> lk(m_);
     const auto it = index_.find(h);
     if (it == index_.end() || it->second->key != key) {
+        if (!countMiss)
+            return std::nullopt;
         ++stats_.misses;
         registry_->counter(prefix_ + ".misses").add(1);
         return std::nullopt;

@@ -69,8 +69,11 @@ class ResultCache
                          std::string prefix = "service.cache");
 
     /** Look up the canonical @p key; copies the stored value out and
-     *  marks the entry most-recently used. */
-    std::optional<std::string> get(const std::string &key);
+     *  marks the entry most-recently used. With @p countMiss false an
+     *  absent key is not counted (for a caller that will look again
+     *  and count then), so each request still counts at most once. */
+    std::optional<std::string> get(const std::string &key,
+                                   bool countMiss = true);
 
     /** Insert/overwrite the value for @p key, evicting the LRU tail
      *  when the entry bound is exceeded. */

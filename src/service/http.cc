@@ -1,15 +1,18 @@
 #include "service/http.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <system_error>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/time.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -67,6 +70,22 @@ writeAll(int fd, std::string_view data)
         off += static_cast<std::size_t>(n);
     }
     return true;
+}
+
+using Clock = std::chrono::steady_clock;
+
+/** One recv() (each bounded by SO_RCVTIMEO), absorbing EINTR; -1
+ *  once @p deadline has passed, so a trickling peer cannot stretch a
+ *  phase past its bound. */
+ssize_t
+recvBefore(int fd, char *buf, std::size_t len, Clock::time_point deadline)
+{
+    while (Clock::now() < deadline) {
+        const ssize_t n = ::recv(fd, buf, len, 0);
+        if (n >= 0 || errno != EINTR)
+            return n;
+    }
+    return -1;
 }
 
 } // namespace
@@ -320,6 +339,10 @@ HttpServer::start(std::string *error)
                       &len) == 0)
         port_ = ntohs(bound.sin_port);
 
+    {
+        std::lock_guard<std::mutex> lk(m_);
+        closing_ = false;
+    }
     stopRequested_.store(false);
     running_.store(true);
     acceptThread_ = std::thread([this] { acceptLoop(); });
@@ -344,14 +367,34 @@ HttpServer::waitUntilStopped()
 {
     if (acceptThread_.joinable())
         acceptThread_.join();
-    std::unique_lock<std::mutex> lk(m_);
-    cv_.wait(lk, [this] { return activeConnections_ == 0; });
+    std::list<Worker> all;
+    {
+        std::unique_lock<std::mutex> lk(m_);
+        cv_.wait(lk, [this] { return activeConnections_ == 0; });
+        // Drained: every thread is parked or retired. Wake the parked
+        // ones to exit, and join all of them outside the lock.
+        closing_ = true;
+        for (Worker *w : idle_)
+            w->cv.notify_one();
+        idle_.clear();
+        all.splice(all.end(), workers_);
+        all.splice(all.end(), retired_);
+    }
+    for (Worker &w : all)
+        w.thread.join();
 }
 
 bool
 HttpServer::running() const
 {
     return running_.load();
+}
+
+std::size_t
+HttpServer::idleThreads() const
+{
+    std::lock_guard<std::mutex> lk(m_);
+    return idle_.size();
 }
 
 void
@@ -361,6 +404,7 @@ HttpServer::acceptLoop()
     // signal machinery: the cost is one spurious wakeup per 50 ms of
     // idleness, which is nothing for an operator-facing service.
     while (!stopRequested_.load()) {
+        joinRetired();
         pollfd pfd{listenFd_, POLLIN, 0};
         const int rc = ::poll(&pfd, 1, 50);
         if (rc < 0 && errno != EINTR)
@@ -368,16 +412,8 @@ HttpServer::acceptLoop()
         if (rc <= 0 || !(pfd.revents & POLLIN))
             continue;
         const int fd = ::accept(listenFd_, nullptr, nullptr);
-        if (fd < 0)
-            continue;
-        {
-            std::lock_guard<std::mutex> lk(m_);
-            ++activeConnections_;
-        }
-        std::thread([this, fd] {
-            serveConnection(fd);
-            connectionDone();
-        }).detach();
+        if (fd >= 0)
+            dispatch(fd);
     }
     ::close(listenFd_);
     listenFd_ = -1;
@@ -385,23 +421,110 @@ HttpServer::acceptLoop()
 }
 
 void
-HttpServer::connectionDone()
+HttpServer::dispatch(int fd)
 {
-    std::lock_guard<std::mutex> lk(m_);
-    --activeConnections_;
-    cv_.notify_all();
+    // Only this thread joins retired workers, and waitUntilStopped()
+    // joins the rest after this thread, so a worker found here
+    // outlives this call and its thread member is set unlocked.
+    Worker *w = nullptr;
+    bool parked = false;
+    {
+        std::unique_lock<std::mutex> lk(m_);
+        ++activeConnections_;
+        // A sequential client's next connection usually arrives while
+        // the thread that served its last one still waits for that
+        // peer's close. Give such a thread a moment to park instead
+        // of spawning: every extra thread keeps its own stack and
+        // malloc arena resident.
+        if (idle_.empty() && lingering_ > 0)
+            parked_cv_.wait_for(lk, kParkGrace, [this] {
+                return !idle_.empty() || lingering_ == 0;
+            });
+        parked = !idle_.empty();
+        if (parked) {
+            // LIFO: the most recently idled thread is the warmest.
+            w = idle_.back();
+            idle_.pop_back();
+        } else {
+            w = &workers_.emplace_back();
+            w->self = std::prev(workers_.end());
+        }
+        w->fd = fd;
+    }
+    if (parked) {
+        w->cv.notify_one();
+        return;
+    }
+    try {
+        w->thread = std::thread([this, w] { workerLoop(*w); });
+    } catch (const std::system_error &) {
+        ::close(fd);
+        std::lock_guard<std::mutex> lk(m_);
+        workers_.erase(w->self);
+        if (--activeConnections_ == 0)
+            cv_.notify_all();
+    }
 }
 
 void
+HttpServer::workerLoop(Worker &w)
+{
+    std::unique_lock<std::mutex> lk(m_);
+    while (true) {
+        const int fd = w.fd;
+        w.fd = -1;
+        lk.unlock();
+        const bool lingered = serveConnection(fd);
+        lk.lock();
+        if (lingered)
+            --lingering_;
+        if (--activeConnections_ == 0)
+            cv_.notify_all();
+        if (closing_)
+            return;
+        if (idle_.size() >= kMaxIdleThreads) {
+            retired_.splice(retired_.end(), workers_, w.self);
+            return;
+        }
+        idle_.push_back(&w);
+        parked_cv_.notify_one();
+        w.cv.wait(lk, [this, &w] { return w.fd >= 0 || closing_; });
+        if (w.fd < 0)
+            return; // woken by waitUntilStopped()
+    }
+}
+
+void
+HttpServer::joinRetired()
+{
+    std::list<Worker> done;
+    {
+        std::lock_guard<std::mutex> lk(m_);
+        done.splice(done.end(), retired_);
+    }
+    for (Worker &w : done)
+        w.thread.join();
+}
+
+bool
 HttpServer::serveConnection(int fd)
 {
-    const auto read_begin = std::chrono::steady_clock::now();
+    const auto read_begin = Clock::now();
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    // A zero timeval would mean "no timeout" to the kernel.
+    const unsigned bound_ms = std::max(opts_.ioTimeoutMs, 1u);
+    const timeval tv{static_cast<time_t>(bound_ms / 1000),
+                     static_cast<suseconds_t>(bound_ms % 1000 * 1000)};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
+    const std::chrono::milliseconds bound(bound_ms);
+    const auto deadline = read_begin + bound;
 
     // Read the head (until CRLFCRLF), then exactly Content-Length
-    // body bytes. Everything is bounded; a peer that exceeds a bound
-    // gets a 4xx and the connection closed.
+    // body bytes. Everything is bounded; a peer that exceeds a size
+    // bound gets a 4xx and the connection closed, one that exceeds
+    // the time bound is just closed.
     std::string data;
     std::size_t head_end = std::string::npos;
     char buf[4096];
@@ -413,14 +536,12 @@ HttpServer::serveConnection(int fd)
             writeAll(fd, renderHttpResponse(
                              httpError(413, "request head too large")));
             ::close(fd);
-            return;
+            return false;
         }
-        const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-        if (n < 0 && errno == EINTR)
-            continue;
+        const ssize_t n = recvBefore(fd, buf, sizeof buf, deadline);
         if (n <= 0) {
-            ::close(fd); // peer went away mid-request
-            return;
+            ::close(fd); // peer went away or stalled mid-request
+            return false;
         }
         data.append(buf, static_cast<std::size_t>(n));
     }
@@ -430,7 +551,7 @@ HttpServer::serveConnection(int fd)
     if (!parseHttpRequest(data.substr(0, head_end + 4) , req, &perr)) {
         writeAll(fd, renderHttpResponse(httpError(400, perr)));
         ::close(fd);
-        return;
+        return false;
     }
 
     std::size_t content_length = 0;
@@ -441,7 +562,7 @@ HttpServer::serveConnection(int fd)
             writeAll(fd, renderHttpResponse(
                              httpError(400, "bad content-length")));
             ::close(fd);
-            return;
+            return false;
         }
         content_length = static_cast<std::size_t>(v);
     }
@@ -449,17 +570,15 @@ HttpServer::serveConnection(int fd)
         writeAll(fd,
                  renderHttpResponse(httpError(413, "body too large")));
         ::close(fd);
-        return;
+        return false;
     }
 
     req.body = data.substr(head_end + 4);
     while (req.body.size() < content_length) {
-        const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-        if (n < 0 && errno == EINTR)
-            continue;
+        const ssize_t n = recvBefore(fd, buf, sizeof buf, deadline);
         if (n <= 0) {
             ::close(fd);
-            return;
+            return false;
         }
         req.body.append(buf, static_cast<std::size_t>(n));
     }
@@ -469,7 +588,7 @@ HttpServer::serveConnection(int fd)
     HttpConnectionIo io;
     io.readNs = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - read_begin)
+            Clock::now() - read_begin)
             .count());
     io.bytesIn = head_end + 4 + content_length + body_extra;
 
@@ -482,21 +601,28 @@ HttpServer::serveConnection(int fd)
         resp = httpError(500, "unhandled exception");
     }
     const std::string rendered = renderHttpResponse(resp);
-    const auto write_begin = std::chrono::steady_clock::now();
+    const auto write_begin = Clock::now();
     writeAll(fd, rendered);
     if (io.onWritten) {
         const std::uint64_t write_ns = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - write_begin)
+                Clock::now() - write_begin)
                 .count());
         io.onWritten(write_ns, rendered.size());
     }
     ::shutdown(fd, SHUT_WR);
+    {
+        std::lock_guard<std::mutex> lk(m_);
+        ++lingering_;
+    }
     // Drain until the peer closes so its final ACKed read never races
-    // our RST; bounded by the peer's Connection: close behavior.
-    while (::recv(fd, buf, sizeof buf, 0) > 0) {
+    // our RST; a peer that neither closes nor stops sending is cut
+    // off at the I/O bound.
+    const auto drain_deadline = Clock::now() + bound;
+    while (recvBefore(fd, buf, sizeof buf, drain_deadline) > 0) {
     }
     ::close(fd);
+    return true;
 }
 
 } // namespace service

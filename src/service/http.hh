@@ -1,8 +1,9 @@
 /**
  * @file
  * Minimal dependency-free HTTP/1.1 front end for the resident
- * campaign service: blocking POSIX sockets, one detached worker
- * thread per accepted connection, `Connection: close` semantics.
+ * campaign service: blocking POSIX sockets, one request per
+ * connection (`Connection: close`), served on a cache of reusable
+ * connection threads.
  *
  * Scope: exactly what the what-if server needs — request-line +
  * headers + Content-Length body parsing, bounded input sizes (the
@@ -13,20 +14,30 @@
  *
  * Threading model: the accept loop runs on one thread and polls the
  * listener with a short timeout so stop() needs no signal tricks.
- * Each connection is served on its own thread (requests are
- * independent; the expensive part — the campaign itself — fans out
- * over the shared WorkStealingPool inside the handler, so connection
- * threads spend their time blocked, not computing). stop() closes the
- * listener and waits for in-flight connections to drain.
+ * Each accepted connection is handed to the most recently idled
+ * connection thread (LIFO, so the hot thread and its allocator arena
+ * stay warm); a new thread is spawned only when none is idle (after
+ * at most kParkGrace for a thread that is about to park), so
+ * concurrency is unbounded and a long request never delays a new
+ * connection. A thread that finishes parks for the next connection,
+ * or exits when kMaxIdleThreads are already parked. The expensive
+ * part — the campaign itself — fans out over the shared
+ * WorkStealingPool inside the handler, so connection threads spend
+ * their time blocked, not computing. Every socket read and write is
+ * bounded by HttpServerOptions::ioTimeoutMs, so a silent peer cannot
+ * pin a thread. stop() closes the listener, waits for in-flight
+ * connections to drain, then wakes and joins every thread.
  */
 
 #ifndef BPSIM_SERVICE_HTTP_HH
 #define BPSIM_SERVICE_HTTP_HH
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -127,11 +138,20 @@ struct HttpServerOptions
     std::size_t maxBodyBytes = 1 << 20;
     /** listen(2) backlog. */
     int backlog = 16;
+    /**
+     * Bound (ms) on each blocking socket read and write
+     * (SO_RCVTIMEO / SO_SNDTIMEO), and on reading a whole request
+     * and draining the peer after the response. A silent peer is
+     * dropped after one bound, a trickling one after at most two, so
+     * neither pins a connection thread or stop(). Values below
+     * 1 ms count as 1 ms.
+     */
+    unsigned ioTimeoutMs = 5000;
 };
 
 /**
  * The server: start() binds + listens + spawns the accept loop;
- * handler runs once per request on the connection's thread.
+ * handler runs once per request on a connection thread.
  */
 class HttpServer
 {
@@ -174,10 +194,40 @@ class HttpServer
     /** The bound port (resolves port 0 to the kernel's choice). */
     std::uint16_t port() const { return port_; }
 
+    /** Idle connection threads kept parked for reuse; a thread that
+     *  finishes while this many are parked exits instead. */
+    static constexpr std::size_t kMaxIdleThreads = 64;
+
+    /** Connection threads currently parked (<= kMaxIdleThreads). */
+    std::size_t idleThreads() const;
+
   private:
+    /** One connection thread. Nodes live in workers_ (or retired_
+     *  once the thread has exited) until joined. */
+    struct Worker
+    {
+        /** Wakes this thread when parked. */
+        std::condition_variable cv;
+        /** The next connection to serve; -1 while parked. */
+        int fd = -1;
+        /** This node's position, for the move to retired_. */
+        std::list<Worker>::iterator self;
+        std::thread thread;
+    };
+
     void acceptLoop();
-    void serveConnection(int fd);
-    void connectionDone();
+    /** Hand @p fd to the most recently idled thread, or spawn one. */
+    void dispatch(int fd);
+    void workerLoop(Worker &w);
+    /** Join threads that exited over the idle cap. */
+    void joinRetired();
+    /** Serve one connection and close @p fd. True when the response
+     *  was sent and the thread lingered for the peer's close. */
+    bool serveConnection(int fd);
+
+    /** How long dispatch() waits for a lingering thread to park
+     *  before it spawns one. */
+    static constexpr std::chrono::microseconds kParkGrace{200};
 
     TimedHandler handler_;
     HttpServerOptions opts_;
@@ -187,10 +237,23 @@ class HttpServer
     std::atomic<bool> stopRequested_{false};
     std::atomic<bool> running_{false};
 
-    /** Guards activeConnections_ / wakes stop(). */
-    std::mutex m_;
+    /** Guards everything below; cv_ wakes the drain in
+     *  waitUntilStopped(). */
+    mutable std::mutex m_;
     std::condition_variable cv_;
     int activeConnections_ = 0;
+    /** Every live connection thread (joinable). */
+    std::list<Worker> workers_;
+    /** Threads that exited over the idle cap, awaiting join. */
+    std::list<Worker> retired_;
+    /** Parked threads; back() is the most recently idled. */
+    std::vector<Worker *> idle_;
+    /** Threads that sent their response and wait for the peer's
+     *  close; parked_cv_ wakes dispatch() when one parks. */
+    int lingering_ = 0;
+    std::condition_variable parked_cv_;
+    /** Set once drained: parked threads exit when woken. */
+    bool closing_ = false;
 };
 
 } // namespace service

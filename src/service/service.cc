@@ -18,6 +18,20 @@ namespace service
 namespace
 {
 
+/** The response for a memory-tier hit on @p keyhex. */
+HttpResponse
+memoryHit(const char *keyhex, std::string body, RequestTrack &track)
+{
+    track.setCache("hit");
+    track.setTier("memory");
+    HttpResponse resp;
+    resp.headers.emplace_back("X-Bpsim-Key", keyhex);
+    resp.headers.emplace_back("X-Bpsim-Cache", "hit");
+    resp.headers.emplace_back("X-Bpsim-Cache-Tier", "memory");
+    resp.body = std::move(body);
+    return resp;
+}
+
 obs::HistoryConfig
 historyConfig(const HistoryOptions &h)
 {
@@ -206,6 +220,17 @@ CampaignService::handleWhatIf(const HttpRequest &req,
                       static_cast<unsigned long long>(fnv1a64(key)));
     }
 
+    // Memory hits skip the flight table and the campaign lock
+    // (ResultCache is thread-safe), so a hit never waits behind a
+    // running miss or coalesces behind another hit. An absent key is
+    // left uncounted: computeWhatIf's re-check counts the one miss,
+    // and a flight's followers count nothing.
+    {
+        const auto s = track.span(RequestPhase::CacheMem);
+        if (auto hit = cache_.get(key, /*countMiss=*/false))
+            return memoryHit(keyhex, std::move(*hit), track);
+    }
+
     if (!opts_.coalesce)
         return computeWhatIf(*request, key, keyhex, track);
 
@@ -249,8 +274,6 @@ CampaignService::handleWhatIf(const HttpRequest &req,
         return resp;
     }
 
-    if (opts_.testBeforeCampaign)
-        opts_.testBeforeCampaign();
     const HttpResponse resp = computeWhatIf(*request, key, keyhex, track);
     {
         std::lock_guard<std::mutex> lk(inflight_m_);
@@ -270,21 +293,17 @@ CampaignService::computeWhatIf(const WhatIfRequest &request,
                                const char *keyhex,
                                RequestTrack &track)
 {
+    std::lock_guard<std::mutex> lk(campaign_m_);
+    // Re-check unspanned (handleWhatIf timed the memory lookup): a
+    // result cached since then, say by a flight that just landed,
+    // must not be recomputed.
+    if (auto hit = cache_.get(key))
+        return memoryHit(keyhex, std::move(*hit), track);
+    if (opts_.testBeforeCampaign)
+        opts_.testBeforeCampaign();
+
     HttpResponse resp;
     resp.headers.emplace_back("X-Bpsim-Key", keyhex);
-
-    std::lock_guard<std::mutex> lk(campaign_m_);
-    {
-        const auto s = track.span(RequestPhase::CacheMem);
-        if (auto hit = cache_.get(key)) {
-            track.setCache("hit");
-            track.setTier("memory");
-            resp.headers.emplace_back("X-Bpsim-Cache", "hit");
-            resp.headers.emplace_back("X-Bpsim-Cache-Tier", "memory");
-            resp.body = std::move(*hit);
-            return resp;
-        }
-    }
     {
         const auto s = track.span(RequestPhase::CacheDisk);
         if (auto spilled = disk_.load(key)) {

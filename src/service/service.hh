@@ -28,9 +28,11 @@
  * WorkStealingPool, so concurrent campaigns would only fight over
  * the same cores — and serializing keeps the drain of the
  * trace/sample sinks, which must not race in-flight trials, trivially
- * correct). Cache lookups share that lock, so each request counts
- * exactly one hit or miss; metrics scrapes, alert reads and health
- * probes never wait on a running campaign.
+ * correct). Memory-cache hits are served before the flight table
+ * and without that lock, so neither a hit nor a metrics scrape,
+ * alert read or health probe waits on a running campaign; a request
+ * that misses re-checks the cache under the lock, so each request
+ * counts at most one hit or miss.
  *
  * Three layers sit in front of the campaign (docs/SERVICE.md):
  *
@@ -141,10 +143,11 @@ struct ServiceOptions
      *  (the campaign still runs; only reuse is forfeited). */
     std::size_t checkpointMaxBytes = 1u << 20;
     /**
-     * Test hook: invoked by a coalescing leader after it has claimed
-     * the flight and before it executes. Lets the concurrency test
-     * hold the leader until every follower is parked. Never set in
-     * production.
+     * Test hook: invoked by a request that missed the memory cache,
+     * once it holds the campaign lock and before the disk, checkpoint
+     * and campaign steps (for a coalescing leader: after it claimed
+     * the flight). Lets tests hold a miss while followers park or
+     * hits arrive. Never set in production.
      */
     std::function<void()> testBeforeCampaign;
     /** Request-level observability (ids, spans, access log, status). */
@@ -237,8 +240,10 @@ class CampaignService
     HttpResponse route(const HttpRequest &req, RequestTrack &track);
     HttpResponse handleWhatIf(const HttpRequest &req,
                               RequestTrack &track);
-    /** Cache lookup + (possibly resumed) campaign for a valid,
-     *  already-parsed request; the coalescing leader's work. */
+    /** Cache re-check + (possibly resumed) campaign for a valid,
+     *  already-parsed request that missed the memory cache; the
+     *  coalescing leader's work. The re-check is unspanned:
+     *  handleWhatIf already timed the first lookup. */
     HttpResponse computeWhatIf(const WhatIfRequest &request,
                                const std::string &key,
                                const char *keyhex,

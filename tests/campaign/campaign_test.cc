@@ -1,13 +1,14 @@
 /**
  * @file
  * Tests for the campaign runner: strict in-order consumption,
- * deterministic early stop, bit-identical aggregates across thread
- * counts (the acceptance gate for the parallel engine), and — on
- * machines with enough cores — parallel speedup.
+ * deterministic early stop, and bit-identical aggregates across
+ * thread counts (the acceptance gate for the parallel engine). The
+ * parallel speedup bar is a perf-gate lane (bench/campaign_speedup).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -246,32 +247,20 @@ TEST(AnnualCampaign, CustomTrialBodies)
     EXPECT_LT(s.downtimeMin.summary().mean(), 1.0);
 }
 
-// Scaling check for many-core machines. On 8+ cores the 200-trial
-// campaign must beat the serial baseline by >= 4x (the acceptance
-// bar); 4-7 cores get a proportionally lower bar; below 4 cores the
-// measurement is meaningless and the test skips.
-TEST(AnnualCampaign, ParallelSpeedupOnManyCoreHosts)
+// A longer campaign on 1 thread and on at least 4 is bit-identical.
+// Its wall-clock speedup bar lives in the perf gate
+// (bench/campaign_speedup), where parallel test load cannot flake it.
+TEST(AnnualCampaign, LongCampaignSerialMatchesParallel)
 {
-    const int hw = WorkStealingPool::hardwareThreads();
-    if (hw < 4)
-        GTEST_SKIP() << "only " << hw << " hardware threads";
-
     AnnualCampaignOptions opts;
     opts.maxTrials = 200;
     opts.seed = 2014;
 
     opts.threads = 1;
     const auto serial = runAnnualCampaign(testSpec(), opts);
-    opts.threads = hw;
+    opts.threads = std::max(4, WorkStealingPool::hardwareThreads());
     const auto parallel = runAnnualCampaign(testSpec(), opts);
 
-    ASSERT_GT(serial.wallSeconds, 0.0);
-    ASSERT_GT(parallel.wallSeconds, 0.0);
-    const double speedup = serial.wallSeconds / parallel.wallSeconds;
-    const double bar = hw >= 8 ? 4.0 : 2.0;
-    EXPECT_GE(speedup, bar)
-        << "serial " << serial.wallSeconds << " s vs parallel "
-        << parallel.wallSeconds << " s on " << hw << " threads";
     EXPECT_EQ(fingerprint(serial), fingerprint(parallel));
 }
 

@@ -46,6 +46,23 @@ TEST(ResultCacheTest, MissThenHit)
     EXPECT_EQ(reg.gauge("service.cache.value_bytes").value(), 5.0);
 }
 
+TEST(ResultCacheTest, UncountedMissLeavesCountersAlone)
+{
+    // The service's lock-free first lookup passes countMiss = false:
+    // an absent key counts nothing, a present one still counts a hit.
+    obs::Registry reg;
+    ResultCache cache(8, &reg);
+
+    EXPECT_FALSE(cache.get("key", false).has_value());
+    EXPECT_EQ(cache.stats().misses, 0u);
+    EXPECT_EQ(reg.counter("service.cache.misses").value(), 0u);
+
+    cache.put("key", "value");
+    ASSERT_TRUE(cache.get("key", false).has_value());
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(reg.counter("service.cache.hits").value(), 1u);
+}
+
 TEST(ResultCacheTest, LruEvictionKeepsRecentlyUsed)
 {
     obs::Registry reg;
