@@ -116,9 +116,9 @@ main()
                 "%-20s %7.2f %16.1f %10.1f %9.0f%% [%2.0f,%3.0f] %12.4f\n",
                 config.name.c_str(),
                 cost.normalizedCost(cap, 8 * 0.25),
-                s.downtimeMin.summary().mean(), s.downtimeMin.p95(),
+                s.downtimeMin.mean(), s.downtimeMin.p95(),
                 s.lossFree.fraction * 100.0, s.lossFree.lo * 100.0,
-                s.lossFree.hi * 100.0, s.meanPerf.summary().mean());
+                s.lossFree.hi * 100.0, s.meanPerf.mean());
 
             scratch.beginObject();
             scratch.field("configuration", config.name);
@@ -182,7 +182,7 @@ main()
         total_trials += nv.trials;
         std::printf("%-20s %7.2f %16.1f %10.1f %9.0f%% [%2.0f,%3.0f]\n",
                     "MinCost+NVDIMM", 0.0,
-                    nv.downtimeMin.summary().mean(),
+                    nv.downtimeMin.mean(),
                     nv.downtimeMin.p95(), nv.lossFree.fraction * 100.0,
                     nv.lossFree.lo * 100.0, nv.lossFree.hi * 100.0);
     }
@@ -198,7 +198,7 @@ main()
                         : 0.0);
             w.field("threads", WorkStealingPool::hardwareThreads());
             w.key("nvdimm").beginObject();
-            w.field("mean_downtime_min", nv.downtimeMin.summary().mean());
+            w.field("mean_downtime_min", nv.downtimeMin.mean());
             w.field("p95_downtime_min", nv.downtimeMin.p95());
             w.field("loss_free_fraction", nv.lossFree.fraction);
             w.endObject();

@@ -211,7 +211,7 @@ main()
         opts.maxTrials = 200;
         opts.seed = 2011; // the Google financials' year
         mc = runAnnualCampaign(spec, opts);
-        const double mean_down = mc.downtimeMin.summary().mean();
+        const double mean_down = mc.downtimeMin.mean();
         check("DG-free LargeEUPS + defense stays below the TCO "
               "crossover (200-year campaign)",
               mean_down < tco.crossoverMinutesPerYr() &&

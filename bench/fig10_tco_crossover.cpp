@@ -109,10 +109,10 @@ main()
                 WorkStealingPool::hardwareThreads());
     std::printf("  exposure min/yr: mean %.0f, P50 %.0f, P95 %.0f, "
                 "P99 %.0f\n",
-                mc.downtimeMin.summary().mean(), mc.downtimeMin.p50(),
+                mc.downtimeMin.mean(), mc.downtimeMin.p50(),
                 mc.downtimeMin.p95(), mc.downtimeMin.p99());
     std::printf("  TCO loss $/KW/yr: mean %.1f vs DG savings %.1f\n",
-                mc.meanPerf.summary().mean(), tco.dgSavingsPerKwYr());
+                mc.meanPerf.mean(), tco.dgSavingsPerKwYr());
     std::printf("  years profitable without DG: %.1f%% "
                 "[%.1f%%, %.1f%%] (Wilson 95%%)\n",
                 mc.lossFree.fraction * 100.0, mc.lossFree.lo * 100.0,

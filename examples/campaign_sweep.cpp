@@ -290,7 +290,7 @@ main(int argc, char **argv)
                     config.name.c_str(),
                     static_cast<unsigned long long>(s.trials),
                     s.stoppedEarly ? "*" : " ",
-                    s.downtimeMin.summary().mean(), s.downtimeMin.p99(),
+                    s.downtimeMin.mean(), s.downtimeMin.p99(),
                     s.lossFree.fraction * 100.0, s.lossFree.lo * 100.0,
                     s.lossFree.hi * 100.0, s.trialsPerSec);
 
@@ -324,7 +324,7 @@ main(int argc, char **argv)
                 rs.name = config.name;
                 rs.trials = s.trials;
                 rs.stoppedEarly = s.stoppedEarly;
-                rs.meanDowntimeMin = s.downtimeMin.summary().mean();
+                rs.meanDowntimeMin = s.downtimeMin.mean();
                 rs.p99DowntimeMin = s.downtimeMin.p99();
                 rs.lossFreeFraction = s.lossFree.fraction;
                 rs.lossFreeLo = s.lossFree.lo;

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <vector>
 
-#include "campaign/batch_kernel.hh"
 #include "campaign/json.hh"
 #include "obs/obs.hh"
 #include "outage/trace.hh"
@@ -20,58 +19,11 @@ namespace
 constexpr Time kYear = 365LL * 24 * kHour;
 
 /**
- * The CI stop rule on the current in-order aggregation state. Shared
- * between aggregateTrial and resumeAnnualCampaign's boundary
- * re-evaluation so the two can never diverge.
- */
-bool
-earlyStopSatisfied(const AnnualCampaignSummary &out,
-                   const AnnualCampaignOptions &opts)
-{
-    const double hw = out.downtimeMin.meanCiHalfWidth(opts.ciZ);
-    const double tol =
-        std::max(opts.ciAbsTolMin,
-                 opts.ciRelTol * std::abs(out.downtimeMin.summary().mean()));
-    return hw <= tol;
-}
-
-/**
- * Aggregate one trial into the summary, in trial order; returns false
- * when the early-stop rule fires. Shared verbatim between the scalar
- * and batched drivers so their aggregates cannot diverge.
- */
-bool
-aggregateTrial(AnnualCampaignSummary &out,
-               const AnnualCampaignOptions &opts, bool early_stop,
-               const AnnualResult &r)
-{
-    out.downtimeMin.add(r.downtimeMin);
-    out.lossesPerYear.add(static_cast<double>(r.losses));
-    out.meanPerf.add(r.meanPerf);
-    out.batteryKwh.add(r.batteryKwh);
-    out.worstGapMin.add(r.worstGapMin);
-    // Per-trial distribution metrics (consume runs in trial
-    // order, so the bucket counts are thread-count invariant).
-    BPSIM_OBS_HISTOGRAM_RECORD("campaign.trial_downtime_min",
-                               r.downtimeMin);
-    BPSIM_OBS_HISTOGRAM_RECORD("campaign.trial_worst_gap_min",
-                               r.worstGapMin);
-    if (r.losses == 0)
-        ++out.lossFreeTrials;
-    ++out.trials;
-    if (early_stop && out.trials >= opts.minTrials &&
-        earlyStopSatisfied(out, opts))
-        return false;
-    return true;
-}
-
-/**
- * Wall-clock + loss-free tail shared by every campaign driver.
- * @p executed is the number of trials this *run* simulated — equal to
- * out.trials for the fresh drivers, but only the extension width for
- * resumeAnnualCampaign, so the obs "campaign.trials" counter stays
- * additive: a checkpointed run plus its extension reports exactly what
- * one fresh run of the full budget would.
+ * Wall-clock + loss-free tail of a campaign run. @p executed is the
+ * number of trials this *run* simulated — only the extension width on
+ * a resume — so the obs "campaign.trials" counter stays additive: a
+ * checkpointed run plus its extension reports exactly what one fresh
+ * run of the full budget would.
  */
 void
 finalizeCampaign(AnnualCampaignSummary &out,
@@ -95,107 +47,188 @@ finalizeCampaign(AnnualCampaignSummary &out,
     }
 }
 
+bool
+stopRuleHolds(const AnnualCampaignOptions &opts, const CampaignAggregate &a)
+{
+    return evaluateStopRule(opts, a.trials, a.downtimeMin.sum(),
+                            a.downtimeMin.sumSq())
+        .fired;
+}
+
 /**
- * Batched scenario driver: fans lane batches (not single trials)
- * across the pool, then unpacks each chunk through the same in-order
- * per-trial aggregation — including the early-stop rule and the
- * progress cadence evaluated on *global* trial ids — so the summary
- * is bit-identical to the scalar driver for any (batch, threads).
+ * Continue @p out from out.trials through opts.maxTrials under the
+ * stop rule and the progress cadence (both on global trial ids).
  */
-AnnualCampaignSummary
-runBatchedCampaign(const AnnualCampaignSpec &spec,
-                   const AnnualCampaignOptions &opts)
+void
+runTrials(AnnualCampaignSummary &out, const TrialSource &source,
+          const AnnualCampaignOptions &opts)
 {
     BPSIM_ASSERT(opts.maxTrials >= 1, "campaign needs at least one trial");
+    BPSIM_ASSERT(out.trials <= opts.maxTrials,
+                 "resume boundary %llu beyond the %llu-trial budget",
+                 static_cast<unsigned long long>(out.trials),
+                 static_cast<unsigned long long>(opts.maxTrials));
     const auto t0 = std::chrono::steady_clock::now();
     const auto run_timer = obs::scope("campaign.run");
-
-    AnnualCampaignSummary out;
+    const std::uint64_t start = out.trials;
     out.planned = opts.maxTrials;
     out.seed = opts.seed;
-    const bool early_stop = opts.ciRelTol > 0.0 || opts.ciAbsTolMin > 0.0;
 
-    const BatchAnnualKernel kernel(spec.profile, spec.nServers,
-                                   spec.technique, spec.config);
-    const std::uint64_t batch = opts.batch;
-    const std::uint64_t chunks = (opts.maxTrials + batch - 1) / batch;
-    bool stopped = false;
+    bool stopped = start > 0 && stopRuleHolds(opts, out);
+    if (!stopped) {
+        stopped = foldTrials(
+            out, source, start, opts.maxTrials, opts.threads,
+            [&](std::uint64_t id) {
+                const bool more = !stopRuleHolds(opts, out);
+                if (opts.progress && opts.progressEvery != 0 &&
+                    (id + 1 == opts.maxTrials || !more ||
+                     (id + 1) % opts.progressEvery == 0))
+                    opts.progress({id + 1, opts.maxTrials, !more});
+                return more;
+            });
+    }
+    // A stop on the budget's last trial is masked: nothing was cut.
+    out.stoppedEarly = stopped && out.trials < opts.maxTrials;
+    finalizeCampaign(out, opts, t0, out.trials - start);
+}
 
+} // namespace
+
+EarlyStopDecision
+evaluateStopRule(const EarlyStopRule &rule, std::uint64_t n,
+                 const ExactSum &sum, const ExactSum &sumSq)
+{
+    EarlyStopDecision out;
+    if (!rule.enabled() || n == 0 || n < rule.minTrials)
+        return out;
+    const Moments m = momentsOf(n, sum, sumSq);
+    const double hw =
+        rule.ciZ * std::sqrt(m.variance / static_cast<double>(n));
+    const double tol =
+        std::max(rule.ciAbsTolMin, rule.ciRelTol * std::abs(m.mean));
+    if (hw <= tol)
+        out = {true, n, hw, m.mean};
+    return out;
+}
+
+const std::array<std::pair<const char *, MergingMetric CampaignAggregate::*>,
+                 5>
+    CampaignAggregate::kMetrics = {{
+        {"downtime_min", &CampaignAggregate::downtimeMin},
+        {"losses_per_year", &CampaignAggregate::lossesPerYear},
+        {"mean_perf", &CampaignAggregate::meanPerf},
+        {"battery_kwh", &CampaignAggregate::batteryKwh},
+        {"worst_gap_min", &CampaignAggregate::worstGapMin},
+    }};
+
+void
+CampaignAggregate::fold(const AnnualResult &r)
+{
+    downtimeMin.add(r.downtimeMin);
+    lossesPerYear.add(static_cast<double>(r.losses));
+    meanPerf.add(r.meanPerf);
+    batteryKwh.add(r.batteryKwh);
+    worstGapMin.add(r.worstGapMin);
+    // Per-trial distribution metrics (folds run in trial order, so
+    // the bucket counts are thread-count invariant).
+    BPSIM_OBS_HISTOGRAM_RECORD("campaign.trial_downtime_min",
+                               r.downtimeMin);
+    BPSIM_OBS_HISTOGRAM_RECORD("campaign.trial_worst_gap_min",
+                               r.worstGapMin);
+    if (r.losses == 0)
+        ++lossFreeTrials;
+    ++trials;
+}
+
+void
+CampaignAggregate::merge(const CampaignAggregate &other)
+{
+    for (const auto &[name, field] : kMetrics)
+        (this->*field).merge(other.*field);
+    lossFreeTrials += other.lossFreeTrials;
+    trials += other.trials;
+}
+
+TrialSource::TrialSource(const AnnualCampaignSpec &spec, std::uint64_t seed,
+                         std::uint64_t batch)
+    : seed_(seed)
+{
+    if (batch != 0) {
+        batch_ = batch;
+        kernel_.emplace(spec.profile, spec.nServers, spec.technique,
+                        spec.config);
+        return;
+    }
+    trial_ = [spec, gen = OutageTraceGenerator::figure1(),
+              sim = AnnualSimulator()](std::uint64_t, Rng &rng) {
+        return sim.runYear(spec.profile, spec.nServers, spec.technique,
+                           spec.config, gen.generate(rng, kYear));
+    };
+}
+
+TrialSource::TrialSource(AnnualTrialFn trial, std::uint64_t seed)
+    : seed_(seed), trial_(std::move(trial))
+{
+}
+
+void
+TrialSource::run(std::uint64_t lo, std::uint64_t hi, AnnualResult *out) const
+{
+    if (kernel_) {
+        kernel_->runBatch(seed_, lo, hi, out);
+        return;
+    }
+    for (std::uint64_t id = lo; id < hi; ++id) {
+        // Tag every trace event with the GLOBAL trial id: (trial,
+        // seq) is the thread-count-invariant trace sort key.
+        const obs::TrialScope trace_scope(id);
+        Rng rng = Rng::stream(seed_, id);
+        out[id - lo] = trial_(id, rng);
+    }
+}
+
+bool
+foldTrials(CampaignAggregate &agg, const TrialSource &source,
+           std::uint64_t lo, std::uint64_t hi, int threads,
+           const std::function<bool(std::uint64_t)> &after)
+{
+    const std::uint64_t batch = source.batch();
+    const std::uint64_t chunks = (hi - lo + batch - 1) / batch;
     const std::function<std::vector<AnnualResult>(std::uint64_t)> body =
         [&](std::uint64_t chunk) {
-            const std::uint64_t lo = chunk * batch;
-            const std::uint64_t hi =
-                std::min(lo + batch, opts.maxTrials);
+            const std::uint64_t first = lo + chunk * batch;
+            const std::uint64_t last = std::min(first + batch, hi);
             std::vector<AnnualResult> results(
-                static_cast<std::size_t>(hi - lo));
-            kernel.runBatch(opts.seed, lo, hi, results.data());
+                static_cast<std::size_t>(last - first));
+            source.run(first, last, results.data());
             return results;
         };
+    bool stopped = false;
     const std::function<bool(std::uint64_t, std::vector<AnnualResult> &&)>
         consume = [&](std::uint64_t chunk,
                       std::vector<AnnualResult> &&results) {
-            const std::uint64_t lo = chunk * batch;
+            const std::uint64_t first = lo + chunk * batch;
             for (std::size_t i = 0; i < results.size(); ++i) {
-                const std::uint64_t id = lo + i;
-                const bool more =
-                    aggregateTrial(out, opts, early_stop, results[i]);
-                if (opts.progress && opts.progressEvery != 0 &&
-                    (id + 1 == opts.maxTrials || !more ||
-                     (id + 1) % opts.progressEvery == 0)) {
-                    opts.progress({id + 1, opts.maxTrials, !more});
-                }
-                if (!more) {
+                agg.fold(results[i]);
+                if (!after(first + i)) {
                     stopped = true;
                     return false;
                 }
             }
             return true;
         };
-
     CampaignOptions copts;
-    copts.threads = opts.threads;
+    copts.threads = threads;
     runCampaign<std::vector<AnnualResult>>(chunks, body, consume, copts);
-    // The chunk-level outcome can't see a stop on the last trial of
-    // the last chunk; recover the scalar semantics from trial counts.
-    out.stoppedEarly = stopped && out.trials < opts.maxTrials;
-    finalizeCampaign(out, opts, t0, out.trials);
-    return out;
+    return stopped;
 }
-
-} // namespace
 
 AnnualCampaignSummary
 runAnnualCampaign(const AnnualTrialFn &trial,
                   const AnnualCampaignOptions &opts)
 {
-    BPSIM_ASSERT(opts.maxTrials >= 1, "campaign needs at least one trial");
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto run_timer = obs::scope("campaign.run");
-
     AnnualCampaignSummary out;
-    out.planned = opts.maxTrials;
-    out.seed = opts.seed;
-    const bool early_stop = opts.ciRelTol > 0.0 || opts.ciAbsTolMin > 0.0;
-
-    const std::function<AnnualResult(std::uint64_t)> body =
-        [&](std::uint64_t id) {
-            const obs::TrialScope trace_scope(id);
-            Rng rng = Rng::stream(opts.seed, id);
-            return trial(id, rng);
-        };
-    const std::function<bool(std::uint64_t, AnnualResult &&)> consume =
-        [&](std::uint64_t, AnnualResult &&r) {
-            return aggregateTrial(out, opts, early_stop, r);
-        };
-
-    CampaignOptions copts;
-    copts.threads = opts.threads;
-    copts.progressEvery = opts.progressEvery;
-    copts.progress = opts.progress;
-    const CampaignOutcome oc =
-        runCampaign<AnnualResult>(opts.maxTrials, body, consume, copts);
-    out.stoppedEarly = oc.stoppedEarly;
-    finalizeCampaign(out, opts, t0, out.trials);
+    runTrials(out, TrialSource(trial, opts.seed), opts);
     return out;
 }
 
@@ -203,153 +236,33 @@ AnnualCampaignSummary
 runAnnualCampaign(const AnnualCampaignSpec &spec,
                   const AnnualCampaignOptions &opts)
 {
-    if (opts.batch != 0)
-        return runBatchedCampaign(spec, opts);
-    const auto gen = OutageTraceGenerator::figure1();
-    const AnnualSimulator sim;
-    return runAnnualCampaign(
-        [&](std::uint64_t, Rng &rng) {
-            const auto events = gen.generate(rng, kYear);
-            return sim.runYear(spec.profile, spec.nServers, spec.technique,
-                               spec.config, events);
-        },
-        opts);
+    return resumeAnnualCampaign(spec, opts, {});
 }
 
 AnnualCampaignSummary
 resumeAnnualCampaign(const AnnualCampaignSpec &spec,
                      const AnnualCampaignOptions &opts,
-                     const AnnualCampaignSummary &from)
+                     const CampaignAggregate &from)
 {
-    BPSIM_ASSERT(from.trials >= 1, "cannot resume an empty campaign");
-    BPSIM_ASSERT(from.trials <= opts.maxTrials,
-                 "resume boundary %llu beyond the %llu-trial budget",
-                 static_cast<unsigned long long>(from.trials),
-                 static_cast<unsigned long long>(opts.maxTrials));
-    BPSIM_ASSERT(from.seed == opts.seed,
-                 "resume seed %llu does not match campaign seed %llu",
-                 static_cast<unsigned long long>(from.seed),
-                 static_cast<unsigned long long>(opts.seed));
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto run_timer = obs::scope("campaign.run");
-
-    AnnualCampaignSummary out = from;
-    out.planned = opts.maxTrials;
-    const bool early_stop = opts.ciRelTol > 0.0 || opts.ciAbsTolMin > 0.0;
-    const std::uint64_t start = from.trials;
-
-    // Replay paths: the cached run already stopped early, or the CI
-    // rule holds right at the boundary (a run whose budget equals its
-    // stopping point masks the stop: stoppedEarly stays false, so the
-    // decision must be re-derived from the restored state), or there
-    // is simply nothing left to run. A fresh opts.maxTrials-trial run
-    // would aggregate exactly these trials.
-    const bool stop_at_boundary =
-        from.stoppedEarly ||
-        (early_stop && start >= opts.minTrials &&
-         earlyStopSatisfied(out, opts));
-    if (stop_at_boundary || start == opts.maxTrials) {
-        out.stoppedEarly = stop_at_boundary && out.trials < opts.maxTrials;
-        finalizeCampaign(out, opts, t0, 0);
-        return out;
-    }
-
-    bool stopped = false;
-    const auto progress = [&](std::uint64_t id, bool more) {
-        if (opts.progress && opts.progressEvery != 0 &&
-            (id + 1 == opts.maxTrials || !more ||
-             (id + 1) % opts.progressEvery == 0))
-            opts.progress({id + 1, opts.maxTrials, !more});
-    };
-    CampaignOptions copts;
-    copts.threads = opts.threads;
-
-    if (opts.batch != 0) {
-        // Batched extension. Chunk boundaries start at the resume
-        // point rather than trial 0 — harmless, because every trial's
-        // result is a pure function of (seed, id) regardless of which
-        // lane batch computed it, and aggregation stays in id order.
-        const BatchAnnualKernel kernel(spec.profile, spec.nServers,
-                                       spec.technique, spec.config);
-        const std::uint64_t batch = opts.batch;
-        const std::uint64_t width = opts.maxTrials - start;
-        const std::uint64_t chunks = (width + batch - 1) / batch;
-
-        const std::function<std::vector<AnnualResult>(std::uint64_t)>
-            body = [&](std::uint64_t chunk) {
-                const std::uint64_t lo = start + chunk * batch;
-                const std::uint64_t hi =
-                    std::min(lo + batch, opts.maxTrials);
-                std::vector<AnnualResult> results(
-                    static_cast<std::size_t>(hi - lo));
-                kernel.runBatch(opts.seed, lo, hi, results.data());
-                return results;
-            };
-        const std::function<bool(std::uint64_t,
-                                 std::vector<AnnualResult> &&)>
-            consume = [&](std::uint64_t chunk,
-                          std::vector<AnnualResult> &&results) {
-                const std::uint64_t lo = start + chunk * batch;
-                for (std::size_t i = 0; i < results.size(); ++i) {
-                    const std::uint64_t id = lo + i;
-                    const bool more =
-                        aggregateTrial(out, opts, early_stop, results[i]);
-                    progress(id, more);
-                    if (!more) {
-                        stopped = true;
-                        return false;
-                    }
-                }
-                return true;
-            };
-        runCampaign<std::vector<AnnualResult>>(chunks, body, consume,
-                                               copts);
-    } else {
-        const auto gen = OutageTraceGenerator::figure1();
-        const AnnualSimulator sim;
-        const std::function<AnnualResult(std::uint64_t)> body =
-            [&](std::uint64_t local) {
-                const std::uint64_t id = start + local;
-                const obs::TrialScope trace_scope(id);
-                Rng rng = Rng::stream(opts.seed, id);
-                const auto events = gen.generate(rng, kYear);
-                return sim.runYear(spec.profile, spec.nServers,
-                                   spec.technique, spec.config, events);
-            };
-        const std::function<bool(std::uint64_t, AnnualResult &&)>
-            consume = [&](std::uint64_t local, AnnualResult &&r) {
-                const bool more =
-                    aggregateTrial(out, opts, early_stop, r);
-                progress(start + local, more);
-                if (!more)
-                    stopped = true;
-                return more;
-            };
-        runCampaign<AnnualResult>(opts.maxTrials - start, body, consume,
-                                  copts);
-    }
-    out.stoppedEarly = stopped && out.trials < opts.maxTrials;
-    finalizeCampaign(out, opts, t0, out.trials - start);
+    AnnualCampaignSummary out;
+    static_cast<CampaignAggregate &>(out) = from;
+    runTrials(out, TrialSource(spec, opts.seed, opts.batch), opts);
     return out;
 }
 
 void
 writeMetricJson(JsonWriter &w, const std::string &name,
-                const MetricStats &m)
+                const MergingMetric &m)
 {
     w.key(name).beginObject();
-    w.field("count", static_cast<std::uint64_t>(m.summary().count()));
-    w.field("mean", m.summary().mean());
-    w.field("stddev", m.summary().stddev());
-    w.field("min", m.summary().min());
-    w.field("max", m.summary().max());
+    w.field("count", m.count());
+    w.field("mean", m.mean());
+    w.field("stddev", m.stddev());
+    w.field("min", m.min());
+    w.field("max", m.max());
     w.field("p50", m.p50());
     w.field("p95", m.p95());
     w.field("p99", m.p99());
-    // Digest-based quantiles (mergeable across shards, unlike P²).
-    w.field("td_p50", m.quantile(0.50));
-    w.field("td_p95", m.quantile(0.95));
-    w.field("td_p99", m.quantile(0.99));
     w.endObject();
 }
 
@@ -368,11 +281,8 @@ writeCampaignJson(std::ostream &os, const AnnualCampaignSummary &s,
         w.field("wall_seconds", s.wallSeconds);
         w.field("trials_per_sec", s.trialsPerSec);
     }
-    writeMetricJson(w, "downtime_min", s.downtimeMin);
-    writeMetricJson(w, "losses_per_year", s.lossesPerYear);
-    writeMetricJson(w, "mean_perf", s.meanPerf);
-    writeMetricJson(w, "battery_kwh", s.batteryKwh);
-    writeMetricJson(w, "worst_gap_min", s.worstGapMin);
+    for (const auto &[name, field] : CampaignAggregate::kMetrics)
+        writeMetricJson(w, name, s.*field);
     w.key("loss_free").beginObject();
     w.field("trials", s.lossFreeTrials);
     w.field("fraction", s.lossFree.fraction);
@@ -387,17 +297,12 @@ void
 writeCampaignCsv(std::ostream &os, const AnnualCampaignSummary &s)
 {
     os << "metric,count,mean,stddev,min,max,p50,p95,p99\n";
-    const auto row = [&os](const char *name, const MetricStats &m) {
-        os << name << ',' << m.summary().count() << ','
-           << m.summary().mean() << ',' << m.summary().stddev() << ','
-           << m.summary().min() << ',' << m.summary().max() << ','
+    for (const auto &[name, field] : CampaignAggregate::kMetrics) {
+        const MergingMetric &m = s.*field;
+        os << name << ',' << m.count() << ',' << m.mean() << ','
+           << m.stddev() << ',' << m.min() << ',' << m.max() << ','
            << m.p50() << ',' << m.p95() << ',' << m.p99() << '\n';
-    };
-    row("downtime_min", s.downtimeMin);
-    row("losses_per_year", s.lossesPerYear);
-    row("mean_perf", s.meanPerf);
-    row("battery_kwh", s.batteryKwh);
-    row("worst_gap_min", s.worstGapMin);
+    }
     os << "loss_free_fraction," << s.trials << ',' << s.lossFree.fraction
        << ",,," << s.lossFree.lo << ',' << s.lossFree.hi << ",,\n";
 }

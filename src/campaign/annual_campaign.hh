@@ -1,25 +1,33 @@
 /**
  * @file
  * Year-scale Monte Carlo campaigns: fan independent simulated years
- * (scenario × per-trial seed) across the work-stealing pool, with
- * online aggregation (Welford moments, P50/P95/P99 sketches, Wilson
- * interval on the loss-free-year fraction), an optional
- * confidence-interval early-stop rule, progress callbacks, and
- * JSON/CSV export.
+ * (scenario × per-trial seed) across the work-stealing pool and fold
+ * them, in trial order, into one campaign aggregate (ExactSum moments
+ * and t-digest quantiles per metric, Wilson interval on the
+ * loss-free-year fraction), with an optional confidence-interval
+ * early-stop rule, progress callbacks, and JSON/CSV export.
  *
  * The trial/seed model: trial t draws its randomness from
  * `Rng::stream(seed, t)` — a pure function of (campaign seed, trial
  * id) — and builds its own Simulator/PowerHierarchy/Cluster, so no
  * mutable state crosses threads and the aggregated results are
  * bit-identical for any thread count (see docs/CAMPAIGN.md).
+ *
+ * One aggregate, one driver: single-process campaigns, resumed
+ * campaigns (campaign/checkpoint.hh) and shards (campaign/shard.hh)
+ * all fold trials through foldTrials() into a CampaignAggregate.
  */
 
 #ifndef BPSIM_CAMPAIGN_ANNUAL_CAMPAIGN_HH
 #define BPSIM_CAMPAIGN_ANNUAL_CAMPAIGN_HH
 
+#include <array>
 #include <functional>
+#include <optional>
 #include <ostream>
+#include <utility>
 
+#include "campaign/batch_kernel.hh"
 #include "campaign/online_stats.hh"
 #include "campaign/runner.hh"
 #include "core/annual.hh"
@@ -36,8 +44,57 @@ struct AnnualCampaignSpec
     BackupConfigSpec config;
 };
 
-/** Campaign sizing, seeding, and early-stop knobs. */
-struct AnnualCampaignOptions
+/**
+ * The campaign early-stop rule: after at least minTrials, stop once
+ * the normal-approximation CI half-width of E[downtime min/yr] is
+ * <= max(ciAbsTolMin, ciRelTol * |mean|). Disabled while both
+ * tolerances are 0.
+ */
+struct EarlyStopRule
+{
+    std::uint64_t minTrials = 64;
+    double ciRelTol = 0.0;
+    double ciAbsTolMin = 0.0;
+    double ciZ = 1.96;
+
+    bool
+    enabled() const
+    {
+        return ciRelTol > 0.0 || ciAbsTolMin > 0.0;
+    }
+};
+
+/** Where (and whether) the stop rule fired. */
+struct EarlyStopDecision
+{
+    /** True when the rule held. */
+    bool fired = false;
+    /** Trials a coordinator would have kept (prefix length). */
+    std::uint64_t stopTrial = 0;
+    /** CI half-width and mean at the stop point. */
+    double halfWidth = 0.0;
+    double mean = 0.0;
+};
+
+/**
+ * The one stop-rule function: evaluate @p rule on a prefix of @p n
+ * trials whose downtime sums are @p sum and @p sumSq. Returns an
+ * all-zero decision unless the rule is enabled, n >= minTrials and
+ * the half-width is within tolerance. The live campaign, resume's
+ * boundary check and the shard coordinator's replay all call it, so
+ * they agree bit for bit.
+ */
+EarlyStopDecision evaluateStopRule(const EarlyStopRule &rule,
+                                   std::uint64_t n, const ExactSum &sum,
+                                   const ExactSum &sumSq);
+
+/**
+ * Campaign sizing, seeding, and early-stop knobs. The early-stop
+ * fields come from EarlyStopRule; the rule is evaluated on the
+ * in-order trial prefix, so the stopping point is identical for every
+ * thread count.
+ */
+struct AnnualCampaignOptions : EarlyStopRule
 {
     /** Trial budget (upper bound when early stop is enabled). */
     std::uint64_t maxTrials = 200;
@@ -45,21 +102,6 @@ struct AnnualCampaignOptions
     std::uint64_t seed = 1;
     /** Worker threads (0 = shared hardware-sized pool). */
     int threads = 0;
-
-    /**
-     * @name Early stop
-     * After at least minTrials, stop once the normal-approximation CI
-     * half-width of E[downtime min/yr] is <= max(ciAbsTolMin,
-     * ciRelTol * |mean|). Disabled while both tolerances are 0. The
-     * rule is evaluated on the in-order trial prefix, so the stopping
-     * point is identical for every thread count.
-     */
-    ///@{
-    std::uint64_t minTrials = 64;
-    double ciRelTol = 0.0;
-    double ciAbsTolMin = 0.0;
-    double ciZ = 1.96;
-    ///@}
 
     /** Progress callback cadence in trials (0 = no callbacks). */
     std::uint64_t progressEvery = 0;
@@ -75,11 +117,43 @@ struct AnnualCampaignOptions
     std::uint64_t batch = 0;
 };
 
-/** Aggregates of one annual campaign. */
-struct AnnualCampaignSummary
+/**
+ * The aggregate of a contiguous run of trials, folded in trial order:
+ * the one type behind campaign summaries, shard files and checkpoints.
+ */
+struct CampaignAggregate
 {
-    /** Trials aggregated (== stop index + 1 under early stop). */
+    /** Trials folded. */
     std::uint64_t trials = 0;
+
+    /** @name Per-metric aggregates (in trial order) */
+    ///@{
+    MergingMetric downtimeMin;
+    MergingMetric lossesPerYear;
+    MergingMetric meanPerf;
+    MergingMetric batteryKwh;
+    MergingMetric worstGapMin;
+    ///@}
+
+    /** Years with zero abrupt power-loss events. */
+    std::uint64_t lossFreeTrials = 0;
+
+    /** Fold one trial in (the next in trial order). */
+    void fold(const AnnualResult &r);
+
+    /** Fold the aggregate of the trials that follow this one's. */
+    void merge(const CampaignAggregate &other);
+
+    /** The five metrics by export name, in export order. */
+    static const std::array<std::pair<const char *,
+                                      MergingMetric CampaignAggregate::*>,
+                            5>
+        kMetrics;
+};
+
+/** Aggregates of one annual campaign. */
+struct AnnualCampaignSummary : CampaignAggregate
+{
     /** Trial budget the campaign was launched with. */
     std::uint64_t planned = 0;
     /** Campaign seed (provenance: trial t used Rng::stream(seed, t)). */
@@ -87,17 +161,6 @@ struct AnnualCampaignSummary
     /** True when the CI rule stopped the campaign early. */
     bool stoppedEarly = false;
 
-    /** @name Per-metric streaming statistics (in trial order) */
-    ///@{
-    MetricStats downtimeMin;
-    MetricStats lossesPerYear;
-    MetricStats meanPerf;
-    MetricStats batteryKwh;
-    MetricStats worstGapMin;
-    ///@}
-
-    /** Years with zero abrupt power-loss events. */
-    std::uint64_t lossFreeTrials = 0;
     /** Loss-free fraction with its Wilson interval. */
     BinomialCi lossFree;
 
@@ -116,43 +179,77 @@ struct AnnualCampaignSummary
 using AnnualTrialFn =
     std::function<AnnualResult(std::uint64_t trial_id, Rng &rng)>;
 
+/**
+ * Where a campaign's trial results come from: the batched kernel, in
+ * lane batches, or a per-trial body, one trial at a time. Either way
+ * trial t is a pure function of (seed, t).
+ */
+class TrialSource
+{
+  public:
+    /**
+     * The standard scenario: each trial draws a Figure 1 outage trace
+     * for one year and runs it against the spec's cluster, backup
+     * configuration and standing technique — through the batched
+     * kernel in batches of @p batch trials, or runYear when 0.
+     */
+    TrialSource(const AnnualCampaignSpec &spec, std::uint64_t seed,
+                std::uint64_t batch);
+
+    /** A custom per-trial body. */
+    TrialSource(AnnualTrialFn trial, std::uint64_t seed);
+
+    /** Trials per unit of pool work. */
+    std::uint64_t batch() const { return batch_; }
+
+    /** Results of trials [lo, hi) into out[0 .. hi-lo). */
+    void run(std::uint64_t lo, std::uint64_t hi, AnnualResult *out) const;
+
+  private:
+    std::uint64_t seed_;
+    std::uint64_t batch_ = 1;
+    std::optional<BatchAnnualKernel> kernel_;
+    AnnualTrialFn trial_;
+};
+
+/**
+ * The one in-order driver: fold trials [lo, hi) of @p source into
+ * @p agg, strictly in trial-id order, on @p threads workers (0 = the
+ * shared pool). After each fold, @p after(id) runs with the global
+ * trial id; returning false stops the fold there. Returns true when
+ * @p after stopped it.
+ */
+bool foldTrials(CampaignAggregate &agg, const TrialSource &source,
+                std::uint64_t lo, std::uint64_t hi, int threads,
+                const std::function<bool(std::uint64_t)> &after);
+
 /** Run a campaign with a custom per-trial body. */
 AnnualCampaignSummary runAnnualCampaign(const AnnualTrialFn &trial,
                                         const AnnualCampaignOptions &opts);
 
-/**
- * Run the standard campaign: each trial draws a Figure 1 outage trace
- * for one year and runs it against the spec's cluster, backup
- * configuration, and standing technique.
- */
+/** Run the standard scenario campaign (see TrialSource). */
 AnnualCampaignSummary runAnnualCampaign(const AnnualCampaignSpec &spec,
                                         const AnnualCampaignOptions &opts);
 
 /**
- * Extend a finished campaign: resume the standard scenario campaign
- * from the exact aggregation state of a previous run and execute only
- * trials [from.trials, opts.maxTrials).
+ * Continue the standard scenario campaign from @p from, the aggregate
+ * of its trials [0, from.trials), through trials
+ * [from.trials, opts.maxTrials). An empty @p from is a fresh run.
  *
- * Contract: @p from must come from the same (spec, seed, batch-or-not
- * irrelevant) with identical early-stop options and
- * from.trials <= opts.maxTrials. Each trial is a pure function of
- * (seed, trial id) and aggregation is strictly in trial order, so the
- * returned summary — including the early-stop trajectory — is
- * bit-identical to a fresh opts.maxTrials-trial run, for any batch
- * size and thread count on either side of the boundary (see
- * campaign/checkpoint.hh and tests/service/incremental_test.cc).
+ * Each trial is a pure function of (seed, trial id) and aggregation is
+ * strictly in trial order, so the summary — including the early-stop
+ * trajectory — is bit-identical to a fresh opts.maxTrials-trial run
+ * with the same (spec, seed, stop rule), for any batch size and thread
+ * count on either side of the boundary.
  *
- * Early-stop boundary semantics: before running anything the CI rule
- * is re-evaluated on the restored state, because a cached run whose
- * budget was exactly its stopping point records stoppedEarly == false
- * (the stop is masked at the budget boundary); a longer fresh run
- * would stop right there. If @p from had already stopped early, or the
- * rule holds at the boundary, no trials run and the summary is the
- * replayed fresh-run outcome (planned rewritten to opts.maxTrials).
+ * The stop rule is first re-evaluated on @p from itself: a run that
+ * stopped early, or whose budget was exactly its stopping point (the
+ * stop is masked there), holds the rule at its last trial, and a
+ * fresh longer run would stop right there. Then no trials run.
  */
 AnnualCampaignSummary resumeAnnualCampaign(const AnnualCampaignSpec &spec,
                                            const AnnualCampaignOptions &opts,
-                                           const AnnualCampaignSummary &from);
+                                           const CampaignAggregate &from);
 
 /** Export knobs for writeCampaignJson(). */
 struct CampaignJsonOptions
@@ -174,10 +271,14 @@ void writeCampaignJson(std::ostream &os, const AnnualCampaignSummary &s,
 /** CSV export: one `metric,count,mean,...` row per metric. */
 void writeCampaignCsv(std::ostream &os, const AnnualCampaignSummary &s);
 
-/** Emit one metric as a JSON object member (used by bench exports). */
+/**
+ * Emit one metric's readout (count, mean, stddev, min, max, p50, p95,
+ * p99) as a JSON object member. Shared by the campaign and merged
+ * exports and the bench files.
+ */
 class JsonWriter;
 void writeMetricJson(JsonWriter &w, const std::string &name,
-                     const MetricStats &m);
+                     const MergingMetric &m);
 
 } // namespace bpsim
 

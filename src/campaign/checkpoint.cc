@@ -1,354 +1,19 @@
 #include "campaign/checkpoint.hh"
 
-#include <cmath>
-#include <utility>
-
 #include "campaign/json.hh"
-#include "obs/obs.hh"
 #include "sim/logging.hh"
 
 namespace bpsim
 {
 
-namespace
-{
-
-/** Set @p error (when wired) and return nullopt: validation helper. */
-std::optional<CampaignCheckpoint>
-failRead(std::string *error, std::string why)
-{
-    if (error)
-        *error = std::move(why);
-    return std::nullopt;
-}
-
-/** Integral JSON number (the only shape asUint accepts safely). */
-bool
-isIntegral(const JsonValue *v)
-{
-    return v && v->kind() == JsonValue::Kind::Number &&
-           v->asDouble() >= 0.0 &&
-           v->asDouble() == std::floor(v->asDouble());
-}
-
-bool
-getUint(const JsonValue &obj, const char *key, std::uint64_t &out)
-{
-    const JsonValue *v = obj.find(key);
-    if (!isIntegral(v))
-        return false;
-    out = v->asUint();
-    return true;
-}
-
-/** Any finite or non-finite double — the raw state slots are doubles
- *  produced by our own writer, but a flipped bit can make them NaN;
- *  the caller decides which slots must be finite. */
-bool
-getDouble(const JsonValue &obj, const char *key, double &out)
-{
-    const JsonValue *v = obj.find(key);
-    if (!v || v->kind() != JsonValue::Kind::Number)
-        return false;
-    out = v->asDouble();
-    return true;
-}
-
-void
-writeP2Json(JsonWriter &w, const P2Quantile &s)
-{
-    const auto arr = [&w](const char *key, const double *a) {
-        w.key(key).beginArray();
-        for (int i = 0; i < 5; ++i)
-            w.value(a[i]);
-        w.endArray();
-    };
-    w.beginObject();
-    arr("q", s.markerHeights());
-    arr("n", s.markerPositions());
-    arr("np", s.desiredPositions());
-    w.endObject();
-}
-
-std::optional<P2Quantile>
-readP2Json(const JsonValue &v, double probability, std::uint64_t count)
-{
-    if (v.kind() != JsonValue::Kind::Object)
-        return std::nullopt;
-    double q[5], n[5], np[5];
-    const auto arr = [&v](const char *key, double (&into)[5]) {
-        const JsonValue *a = v.find(key);
-        if (!a || a->kind() != JsonValue::Kind::Array || a->size() != 5)
-            return false;
-        for (std::size_t i = 0; i < 5; ++i) {
-            const JsonValue &x = a->item(i);
-            if (x.kind() != JsonValue::Kind::Number ||
-                !std::isfinite(x.asDouble()))
-                return false;
-            into[i] = x.asDouble();
-        }
-        return true;
-    };
-    if (!arr("q", q) || !arr("n", n) || !arr("np", np))
-        return std::nullopt;
-    return P2Quantile::restore(probability, q, n, np, count);
-}
-
-void
-writeMetricStateJson(JsonWriter &w, const std::string &name,
-                     const MetricStats &m)
-{
-    w.key(name).beginObject();
-    w.key("summary").beginObject();
-    w.field("count", static_cast<std::uint64_t>(m.summary().count()));
-    w.field("mean", m.summary().mean());
-    w.field("m2", m.summary().m2Raw());
-    w.field("min", m.summary().minRaw());
-    w.field("max", m.summary().maxRaw());
-    w.field("sum", m.summary().sum());
-    w.endObject();
-    w.key("p50");
-    writeP2Json(w, m.sketch50());
-    w.key("p95");
-    writeP2Json(w, m.sketch95());
-    w.key("p99");
-    writeP2Json(w, m.sketch99());
-    w.key("tdigest");
-    m.digest().writeStateJson(w);
-    w.endObject();
-}
-
-std::optional<MetricStats>
-readMetricStateJson(const JsonValue &parent, const char *name)
-{
-    const JsonValue *v = parent.find(name);
-    if (!v || v->kind() != JsonValue::Kind::Object)
-        return std::nullopt;
-    const JsonValue *s = v->find("summary");
-    if (!s || s->kind() != JsonValue::Kind::Object)
-        return std::nullopt;
-    std::uint64_t count = 0;
-    double mean = 0, m2 = 0, min = 0, max = 0, sum = 0;
-    if (!getUint(*s, "count", count) || !getDouble(*s, "mean", mean) ||
-        !getDouble(*s, "m2", m2) || !getDouble(*s, "min", min) ||
-        !getDouble(*s, "max", max) || !getDouble(*s, "sum", sum))
-        return std::nullopt;
-    if (!std::isfinite(mean) || !std::isfinite(m2) || m2 < 0.0 ||
-        !std::isfinite(min) || !std::isfinite(max) ||
-        !std::isfinite(sum))
-        return std::nullopt;
-
-    const JsonValue *p50 = v->find("p50");
-    const JsonValue *p95 = v->find("p95");
-    const JsonValue *p99 = v->find("p99");
-    const JsonValue *td = v->find("tdigest");
-    if (!p50 || !p95 || !p99 || !td)
-        return std::nullopt;
-    // Every sketch saw the same stream, so the summary count is the
-    // sketch count too (one field instead of four in the document).
-    auto q50 = readP2Json(*p50, 0.50, count);
-    auto q95 = readP2Json(*p95, 0.95, count);
-    auto q99 = readP2Json(*p99, 0.99, count);
-    auto digest = TDigest::fromStateJson(*td);
-    if (!q50 || !q95 || !q99 || !digest)
-        return std::nullopt;
-    return MetricStats::restore(
-        SummaryStats::restore(static_cast<std::size_t>(count), mean, m2,
-                              min, max, sum),
-        *q50, *q95, *q99, std::move(*digest));
-}
-
-/** Structural pre-check for IncidentAggregate::fromJson (which
- *  asserts): every member it dereferences must exist with the right
- *  shape before it runs on untrusted bytes. */
-bool
-validIncidentJson(const JsonValue &v)
-{
-    if (v.kind() != JsonValue::Kind::Object)
-        return false;
-    for (const char *key :
-         {"trials", "incidents", "truncated", "loss_incidents"}) {
-        if (!isIntegral(v.find(key)))
-            return false;
-    }
-    const JsonValue *reported = v.find("reported_min");
-    if (!reported || !ExactSum::validJson(*reported))
-        return false;
-    const JsonValue *causes = v.find("by_cause");
-    if (!causes || causes->kind() != JsonValue::Kind::Object)
-        return false;
-    for (std::size_t c = 0; c < obs::kRootCauseCount; ++c) {
-        const JsonValue *e = causes->find(
-            obs::rootCauseName(static_cast<obs::RootCause>(c)));
-        if (!e || e->kind() != JsonValue::Kind::Object)
-            return false;
-        if (!isIntegral(e->find("primary")))
-            return false;
-        const JsonValue *min = e->find("min");
-        if (!min || !ExactSum::validJson(*min))
-            return false;
-    }
-    return true;
-}
-
-/** Digits-only bucket-index parse (no exceptions, no sign, no 0x). */
-bool
-parseBucketIndex(const std::string &s, std::uint32_t &out)
-{
-    if (s.empty() || s.size() > 9)
-        return false;
-    std::uint64_t v = 0;
-    for (const char c : s) {
-        if (c < '0' || c > '9')
-            return false;
-        v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    out = static_cast<std::uint32_t>(v);
-    return true;
-}
-
-} // namespace
-
-void
-writeCheckpointJson(std::ostream &os, const CampaignCheckpoint &c)
-{
-    JsonWriter w(os);
-    w.beginObject();
-    w.field("schema", kCheckpointSchemaName);
-    w.field("schema_version", kCheckpointSchemaVersion);
-    w.field("build", c.build);
-    w.field("seed", c.summary.seed);
-    w.field("trials", c.summary.trials);
-    w.field("planned", c.summary.planned);
-    w.field("stopped_early", c.summary.stoppedEarly);
-    w.field("loss_free_trials", c.summary.lossFreeTrials);
-    w.key("metrics").beginObject();
-    writeMetricStateJson(w, "downtime_min", c.summary.downtimeMin);
-    writeMetricStateJson(w, "losses_per_year", c.summary.lossesPerYear);
-    writeMetricStateJson(w, "mean_perf", c.summary.meanPerf);
-    writeMetricStateJson(w, "battery_kwh", c.summary.batteryKwh);
-    writeMetricStateJson(w, "worst_gap_min", c.summary.worstGapMin);
-    w.endObject();
-    // Omitted-when-empty, like shard files: checkpoints from
-    // uninstrumented runs carry no obs members at all.
-    if (!c.counters.empty()) {
-        w.key("counters").beginObject();
-        for (const auto &[name, v] : c.counters)
-            w.field(name, v);
-        w.endObject();
-    }
-    if (!c.histograms.empty()) {
-        w.key("histograms").beginObject();
-        for (const auto &[name, h] : c.histograms) {
-            w.key(name).beginObject();
-            w.key("buckets").beginObject();
-            for (const auto &[i, cnt] : h.buckets)
-                w.field(std::to_string(i), cnt);
-            w.endObject();
-            w.endObject();
-        }
-        w.endObject();
-    }
-    if (!c.incidents.empty()) {
-        w.key("incidents");
-        c.incidents.writeJson(w);
-    }
-    w.endObject();
-    os << '\n';
-}
-
 std::optional<CampaignCheckpoint>
 readCheckpointJson(const std::string &text, std::string *error)
 {
-    const auto doc = parseJson(text, error);
-    if (!doc)
+    auto out = readShardJson(text, error);
+    if (out && out->spec.lo != 0) {
+        if (error)
+            *error = "not a checkpoint: the shard does not start at trial 0";
         return std::nullopt;
-
-    const JsonValue *schema = doc->find("schema");
-    if (!schema || schema->kind() != JsonValue::Kind::String ||
-        schema->asString() != kCheckpointSchemaName)
-        return failRead(error,
-                        "not a campaign checkpoint (schema mismatch)");
-    const JsonValue *version = doc->find("schema_version");
-    if (!isIntegral(version) ||
-        version->asInt() != kCheckpointSchemaVersion)
-        return failRead(error,
-                        formatString("unsupported checkpoint schema "
-                                     "version (want %d)",
-                                     kCheckpointSchemaVersion));
-    const JsonValue *build = doc->find("build");
-    if (!build || build->kind() != JsonValue::Kind::String)
-        return failRead(error, "missing build identifier");
-
-    CampaignCheckpoint out;
-    out.build = build->asString();
-    if (!getUint(*doc, "seed", out.summary.seed) ||
-        !getUint(*doc, "trials", out.summary.trials) ||
-        !getUint(*doc, "planned", out.summary.planned) ||
-        !getUint(*doc, "loss_free_trials", out.summary.lossFreeTrials))
-        return failRead(error, "malformed campaign counts");
-    const JsonValue *stopped = doc->find("stopped_early");
-    if (!stopped || stopped->kind() != JsonValue::Kind::Bool)
-        return failRead(error, "malformed stopped_early");
-    out.summary.stoppedEarly = stopped->asBool();
-    if (out.summary.trials == 0 ||
-        out.summary.lossFreeTrials > out.summary.trials)
-        return failRead(error, "inconsistent trial counts");
-
-    const JsonValue *metrics = doc->find("metrics");
-    if (!metrics || metrics->kind() != JsonValue::Kind::Object)
-        return failRead(error, "missing metrics object");
-    const auto metric = [&](const char *name, MetricStats &into) {
-        auto m = readMetricStateJson(*metrics, name);
-        if (m)
-            into = std::move(*m);
-        return m.has_value();
-    };
-    if (!metric("downtime_min", out.summary.downtimeMin) ||
-        !metric("losses_per_year", out.summary.lossesPerYear) ||
-        !metric("mean_perf", out.summary.meanPerf) ||
-        !metric("battery_kwh", out.summary.batteryKwh) ||
-        !metric("worst_gap_min", out.summary.worstGapMin))
-        return failRead(error, "malformed metric state");
-    if (out.summary.downtimeMin.summary().count() != out.summary.trials)
-        return failRead(error, "metric count does not match trials");
-
-    if (const JsonValue *cs = doc->find("counters")) {
-        if (cs->kind() != JsonValue::Kind::Object)
-            return failRead(error, "malformed counters");
-        for (std::size_t i = 0; i < cs->size(); ++i) {
-            const auto &[name, v] = cs->member(i);
-            if (!isIntegral(&v))
-                return failRead(error, "malformed counter " + name);
-            out.counters[name] = v.asUint();
-        }
-    }
-    if (const JsonValue *hs = doc->find("histograms")) {
-        if (hs->kind() != JsonValue::Kind::Object)
-            return failRead(error, "malformed histograms");
-        for (std::size_t i = 0; i < hs->size(); ++i) {
-            const auto &[name, h] = hs->member(i);
-            const JsonValue *buckets =
-                h.kind() == JsonValue::Kind::Object ? h.find("buckets")
-                                                    : nullptr;
-            if (!buckets || buckets->kind() != JsonValue::Kind::Object)
-                return failRead(error, "malformed histogram " + name);
-            obs::HistogramSnapshot snap;
-            for (std::size_t j = 0; j < buckets->size(); ++j) {
-                const auto &[idx, cnt] = buckets->member(j);
-                std::uint32_t bucket = 0;
-                if (!parseBucketIndex(idx, bucket) || !isIntegral(&cnt))
-                    return failRead(error,
-                                    "malformed histogram " + name);
-                snap.buckets[bucket] = cnt.asUint();
-            }
-            out.histograms[name] = std::move(snap);
-        }
-    }
-    if (const JsonValue *inc = doc->find("incidents")) {
-        if (!validIncidentJson(*inc))
-            return failRead(error, "malformed incident aggregate");
-        out.incidents = obs::IncidentAggregate::fromJson(*inc);
     }
     return out;
 }
@@ -358,39 +23,21 @@ runResumableCampaign(const AnnualCampaignSpec &spec,
                      const AnnualCampaignOptions &opts,
                      const CampaignCheckpoint *from)
 {
-    // Same obs bracket as shard execution: counter/histogram deltas by
-    // snapshot subtraction, incidents by folding the trace tail — so
-    // the checkpoint carries exactly what this campaign recorded.
-    const auto counters_before = obs::Registry::global().counterSnapshot();
-    const auto histograms_before =
-        obs::Registry::global().histogramSnapshot();
-    const auto trace_mark = obs::TraceSink::instance().mark();
-
+    BPSIM_ASSERT(!from || (from->spec.lo == 0 &&
+                           from->spec.seed == opts.seed),
+                 "checkpoint does not match campaign seed %llu",
+                 static_cast<unsigned long long>(opts.seed));
     ResumableOutcome out;
-    if (from) {
-        out.summary = resumeAnnualCampaign(spec, opts, from->summary);
-        out.executedTrials = out.summary.trials - from->summary.trials;
-    } else {
-        out.summary = runAnnualCampaign(spec, opts);
-        out.executedTrials = out.summary.trials;
-    }
-
-    out.checkpoint.summary = out.summary;
-    out.checkpoint.build = buildId();
-    out.checkpoint.counters = obs::subtractCounters(
-        obs::Registry::global().counterSnapshot(), counters_before);
-    out.checkpoint.histograms = obs::subtractHistograms(
-        obs::Registry::global().histogramSnapshot(), histograms_before);
-    if (obs::enabled())
-        out.checkpoint.incidents =
-            obs::buildIncidentReport(
-                obs::TraceSink::instance().eventsSince(trace_mark))
-                .aggregate;
-    if (from) {
-        obs::mergeCounters(out.checkpoint.counters, from->counters);
-        obs::mergeHistograms(out.checkpoint.histograms, from->histograms);
-        out.checkpoint.incidents.merge(from->incidents);
-    }
+    CampaignCheckpoint &ck = out.checkpoint;
+    if (from)
+        ck = *from;
+    recordObsDeltas(ck, [&] {
+        out.summary = resumeAnnualCampaign(spec, opts, ck);
+    });
+    out.executedTrials = out.summary.trials - ck.trials;
+    static_cast<CampaignAggregate &>(ck) = out.summary;
+    ck.spec = shardOf(opts.seed, ck.trials, 0, 1);
+    ck.build = buildId();
     return out;
 }
 

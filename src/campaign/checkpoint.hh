@@ -1,79 +1,45 @@
 /**
  * @file
- * Serializable campaign checkpoints for incremental trial reuse.
+ * Campaign checkpoints for incremental trial reuse.
  *
- * A CampaignCheckpoint freezes the *exact* sequential aggregation
- * state of an annual campaign at a trial boundary K: the raw Welford
- * accumulators, the P² marker arrays, the t-digest internals
- * (centroids AND the unflushed buffer, verbatim — flushing would
- * change the future clustering trajectory), plus the campaign's obs
- * deltas (counters, histogram buckets, incident aggregate). Resuming
- * from it and running trials [K, M) yields a summary — and serialized
- * JSON — bit-identical to a fresh M-trial run, for any batch size and
- * thread count on either side of the boundary. That invariant is what
- * lets the what-if server answer an M-trial query by extending a
- * cached K-trial campaign instead of recomputing it from scratch (see
- * docs/SERVICE.md "Incremental trial reuse").
+ * A checkpoint is the shard file of a campaign's trials [0, K): the
+ * exact in-order aggregate of those trials (ExactSum moments, t-digest
+ * state written unflushed) plus the obs deltas they recorded (counters,
+ * histogram buckets, incident aggregate). Resuming from it and running
+ * trials [K, M) yields a summary — and a checkpoint — bit-identical to
+ * a fresh M-trial run, for any batch size and thread count on either
+ * side of the boundary. That invariant is what lets the what-if server
+ * answer an M-trial query by extending a cached K-trial campaign
+ * instead of recomputing it from scratch (see docs/SERVICE.md
+ * "Incremental trial reuse"), and what lets a checkpoint merge with a
+ * shard [K, N) like any other shard.
  *
- * The JSON codec is defensive end to end: checkpoints are read back
- * from disk caches that may be truncated, bit-flipped, or written by
- * another build, so readCheckpointJson() validates every member and
- * returns nullopt instead of asserting. A checkpoint also embeds the
- * producing buildId(); loaders treat a foreign build as a miss, since
- * floating-point trajectories are only promised bit-stable within one
- * binary.
+ * The budget and the early-stop outcome are not part of a checkpoint:
+ * resume re-derives the stop from the aggregate at the boundary.
+ *
+ * Checkpoints are read back from disk caches that may be truncated,
+ * bit-flipped, or written by another build, so readCheckpointJson() is
+ * the defensive shard reader plus the [0, K) check. A checkpoint also
+ * embeds the producing buildId(); loaders treat a foreign build as a
+ * miss, since floating-point trajectories are only promised bit-stable
+ * within one binary.
  */
 
 #ifndef BPSIM_CAMPAIGN_CHECKPOINT_HH
 #define BPSIM_CAMPAIGN_CHECKPOINT_HH
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <ostream>
 #include <string>
 
-#include "campaign/annual_campaign.hh"
-#include "obs/histogram.hh"
-#include "obs/incident.hh"
+#include "campaign/shard.hh"
 
 namespace bpsim
 {
 
-/** Schema stamp of the checkpoint JSON document. */
-constexpr const char *kCheckpointSchemaName = "bpsim.campaign.checkpoint";
-constexpr int kCheckpointSchemaVersion = 1;
-
-/**
- * The exact state of an annual campaign after its first
- * summary.trials trials, plus the obs activity those trials produced.
- */
-struct CampaignCheckpoint
-{
-    /**
-     * Sequential aggregation state (trials, planned, seed,
-     * stoppedEarly, the five per-metric aggregates, lossFreeTrials).
-     * The derived members — lossFree interval, wall-clock — are not
-     * part of the checkpointed state; finalize recomputes them.
-     */
-    AnnualCampaignSummary summary;
-
-    /** @name Obs deltas attributable to trials [0, summary.trials)
-     * Counter increments, histogram bucket counts, and the incident
-     * aggregate recorded while those trials ran. All three are
-     * mergeable, so a checkpoint's deltas plus an extension's deltas
-     * equal a fresh full run's — the property the incremental tests
-     * pin. Empty when observability was off.
-     */
-    ///@{
-    std::map<std::string, std::uint64_t> counters;
-    std::map<std::string, obs::HistogramSnapshot> histograms;
-    obs::IncidentAggregate incidents;
-    ///@}
-
-    /** buildId() of the producing binary. */
-    std::string build;
-};
+/** A checkpoint: the shard [0, trials) of its own trials-trial campaign. */
+using CampaignCheckpoint = ShardResult;
 
 /** What one resumable campaign execution produced. */
 struct ResumableOutcome
@@ -89,25 +55,28 @@ struct ResumableOutcome
 /**
  * Run the scenario campaign — fresh when @p from is null, otherwise
  * extending the checkpointed state through trials
- * [from->summary.trials, opts.maxTrials) — and capture the obs deltas
- * of the whole logical campaign into the returned checkpoint (this
- * run's deltas merged with @p from's). Must not run concurrently with
- * other obs-recording work: the delta bracket snapshots the global
- * registry, exactly like shard execution (the what-if server already
- * serializes campaigns for the same reason).
+ * [from->trials, opts.maxTrials) — and capture the obs deltas of the
+ * whole logical campaign into the returned checkpoint (this run's
+ * deltas merged with @p from's). @p from must come from the same
+ * (spec, seed, stop rule) with from->trials <= opts.maxTrials. Must
+ * not run concurrently with other obs-recording work (see
+ * recordObsDeltas).
  */
 ResumableOutcome runResumableCampaign(const AnnualCampaignSpec &spec,
                                       const AnnualCampaignOptions &opts,
                                       const CampaignCheckpoint *from = nullptr);
 
-/** Emit one checkpoint as a schema-stamped JSON document. */
-void writeCheckpointJson(std::ostream &os, const CampaignCheckpoint &c);
+/** Emit one checkpoint: its shard file. */
+inline void
+writeCheckpointJson(std::ostream &os, const CampaignCheckpoint &c)
+{
+    writeShardJson(os, c);
+}
 
 /**
- * Parse a checkpoint document. Returns nullopt — with a reason in
- * @p error when wired — on anything malformed: wrong schema or
- * version, missing or mistyped members, non-finite or out-of-range
- * state. Never asserts on untrusted input.
+ * Parse a checkpoint: readShardJson, and the shard must start at
+ * trial 0. Returns nullopt — with a reason in @p error when wired — on
+ * anything malformed. Never asserts on untrusted input.
  */
 std::optional<CampaignCheckpoint>
 readCheckpointJson(const std::string &text, std::string *error = nullptr);

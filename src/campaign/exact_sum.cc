@@ -1,5 +1,6 @@
 #include "campaign/exact_sum.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "campaign/json.hh"
@@ -33,14 +34,17 @@ ExactSum::add(double x)
         pos = 0;
     }
 
-    const bool neg = m < 0;
-    auto wide = static_cast<unsigned __int128>(neg ? -m : m);
+    // |m| << (pos % 30) spans at most 83 bits: three limbs from j.
+    const std::int64_t sign = m < 0 ? -1 : 1;
+    auto wide = static_cast<unsigned __int128>(sign * m);
     wide <<= pos % kLimbBits;
-    for (int j = pos / kLimbBits; wide != 0; ++j, wide >>= kLimbBits) {
-        const auto chunk =
-            static_cast<std::int64_t>(wide & (kBase - 1));
-        limb_[j] += neg ? -chunk : chunk;
-    }
+    const int j = pos / kLimbBits;
+    const auto mask = static_cast<unsigned __int128>(kBase - 1);
+    limb_[j] += sign * static_cast<std::int64_t>(wide & mask);
+    limb_[j + 1] +=
+        sign * static_cast<std::int64_t>((wide >> kLimbBits) & mask);
+    limb_[j + 2] += sign * static_cast<std::int64_t>(wide >> (2 * kLimbBits));
+    touch(j, j + 2);
 
     // Each add shifts any limb by < 2^30; renormalize long before a
     // limb could reach the int64 range.
@@ -53,33 +57,48 @@ ExactSum::merge(const ExactSum &other)
 {
     ExactSum o = other;
     o.normalize(); // canonical limbs are < 2^30 in magnitude
-    for (int j = 0; j < kLimbs; ++j)
+    if (o.lo_ > o.hi_)
+        return;
+    for (int j = o.lo_; j <= o.hi_; ++j)
         limb_[j] += o.limb_[j];
+    touch(o.lo_, o.hi_);
     if (++dirty_ >= (1u << 30))
         normalize();
 }
 
 void
+ExactSum::touch(int lo, int hi)
+{
+    lo_ = std::min(lo_, lo);
+    hi_ = std::max(hi_, hi);
+}
+
+void
 ExactSum::normalize()
 {
-    // Pass 1: carry-propagate every limb into (-2^30, 2^30).
+    dirty_ = 0;
+    if (lo_ > hi_)
+        return;
+    // Pass 1: carry-propagate every limb into (-2^30, 2^30); a carry
+    // out of the top touched limb widens the range.
     std::int64_t carry = 0;
-    for (int j = 0; j < kLimbs; ++j) {
+    int j = lo_;
+    for (; j <= hi_ || carry != 0; ++j) {
+        BPSIM_ASSERT(j < kLimbs, "ExactSum overflow beyond 2^1024");
         const std::int64_t t = limb_[j] + carry;
         limb_[j] = t % kBase;
         carry = t / kBase;
     }
-    BPSIM_ASSERT(carry == 0, "ExactSum overflow beyond 2^1024");
+    hi_ = j - 1;
 
     // Pass 2: unify limb signs so the digits are the canonical
     // base-2^30 representation of |sum| (the top nonzero limb always
     // carries the sign of the total).
-    int ms = kLimbs - 1;
-    while (ms >= 0 && limb_[ms] == 0)
-        --ms;
-    if (ms >= 0) {
-        const int sign = limb_[ms] > 0 ? 1 : -1;
-        for (int j = 0; j < ms; ++j) {
+    while (hi_ >= lo_ && limb_[hi_] == 0)
+        --hi_;
+    if (hi_ >= lo_) {
+        const int sign = limb_[hi_] > 0 ? 1 : -1;
+        for (j = lo_; j < hi_; ++j) {
             if (sign > 0 && limb_[j] < 0) {
                 limb_[j] += kBase;
                 limb_[j + 1] -= 1;
@@ -89,7 +108,15 @@ ExactSum::normalize()
             }
         }
     }
-    dirty_ = 0;
+    // Trim the zeros the borrows left at either end.
+    while (hi_ >= lo_ && limb_[hi_] == 0)
+        --hi_;
+    while (lo_ <= hi_ && limb_[lo_] == 0)
+        ++lo_;
+    if (lo_ > hi_) {
+        lo_ = kLimbs;
+        hi_ = -1;
+    }
 }
 
 double
@@ -100,7 +127,7 @@ ExactSum::value() const
     // High-to-low accumulation of same-signed digits: faithful, and a
     // pure function of the canonical digits.
     double v = 0.0;
-    for (int j = kLimbs - 1; j >= 0; --j) {
+    for (int j = c.hi_; j >= c.lo_; --j) {
         if (c.limb_[j] != 0)
             v += std::ldexp(static_cast<double>(c.limb_[j]),
                             j * kLimbBits - kBias);
@@ -113,10 +140,7 @@ ExactSum::zero() const
 {
     ExactSum c = *this;
     c.normalize();
-    for (int j = 0; j < kLimbs; ++j)
-        if (c.limb_[j] != 0)
-            return false;
-    return true;
+    return c.lo_ > c.hi_;
 }
 
 void
@@ -124,22 +148,14 @@ ExactSum::writeJson(JsonWriter &w) const
 {
     ExactSum c = *this;
     c.normalize();
-    int lo = 0, hi = kLimbs - 1;
-    while (hi >= 0 && c.limb_[hi] == 0)
-        --hi;
-    const int sign = hi < 0 ? 0 : (c.limb_[hi] > 0 ? 1 : -1);
-    while (lo < hi && c.limb_[lo] == 0)
-        ++lo;
+    const int sign = c.lo_ > c.hi_ ? 0 : (c.limb_[c.hi_] > 0 ? 1 : -1);
 
     w.beginObject();
     w.field("sign", sign);
-    w.field("lo", sign == 0 ? 0 : lo);
+    w.field("lo", sign == 0 ? 0 : c.lo_);
     w.key("limbs").beginArray();
-    if (sign != 0) {
-        for (int j = lo; j <= hi; ++j)
-            w.value(static_cast<int>(sign > 0 ? c.limb_[j]
-                                              : -c.limb_[j]));
-    }
+    for (int j = c.lo_; j <= c.hi_; ++j)
+        w.value(static_cast<int>(sign > 0 ? c.limb_[j] : -c.limb_[j]));
     w.endArray();
     w.endObject();
 }
@@ -197,6 +213,10 @@ ExactSum::fromJson(const JsonValue &v)
                      static_cast<long long>(digit));
         out.limb_[lo + static_cast<std::int64_t>(i)] = sign * digit;
     }
+    if (limbs.size() != 0)
+        out.touch(static_cast<int>(lo),
+                  static_cast<int>(lo) + static_cast<int>(limbs.size()) -
+                      1);
     return out;
 }
 

@@ -35,6 +35,11 @@ class JsonValue;
  * Capacity: each limb absorbs ~2^32 adds between normalizations;
  * add() renormalizes automatically long before that bound, so the
  * accumulator is safe for arbitrarily long campaigns.
+ *
+ * Cost: the accumulator tracks the lowest and highest limb it has
+ * touched, and normalize()/value() visit only that range. Campaign
+ * metrics span a few limbs, so reading the sum once per trial (the
+ * early-stop rule) stays cheap.
  */
 class ExactSum
 {
@@ -80,8 +85,13 @@ class ExactSum
     /** Carry-propagate into the canonical single-sign form. */
     void normalize();
 
+    /** Widen the touched range to cover limbs [lo, hi]. */
+    void touch(int lo, int hi);
+
     /** value = sum_j limb[j] * 2^(j*30 - 1074) */
     std::array<std::int64_t, kLimbs> limb_{};
+    /** Every limb outside [lo_, hi_] is zero (empty when lo_ > hi_). */
+    int lo_ = kLimbs, hi_ = -1;
     /** add()s since the last normalize() (overflow guard). */
     std::uint32_t dirty_ = 0;
 };

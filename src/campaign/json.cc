@@ -190,6 +190,26 @@ JsonValue::asUint() const
     return static_cast<std::uint64_t>(i);
 }
 
+std::optional<std::uint64_t>
+jsonUint(const JsonValue *v)
+{
+    if (!v || v->kind() != JsonValue::Kind::Number)
+        return std::nullopt;
+    const double d = v->asDouble();
+    if (!(d >= 0.0 && d < 0x1p63) || d != std::floor(d))
+        return std::nullopt;
+    return static_cast<std::uint64_t>(d);
+}
+
+std::optional<double>
+jsonFinite(const JsonValue *v)
+{
+    if (!v || v->kind() != JsonValue::Kind::Number ||
+        !std::isfinite(v->asDouble()))
+        return std::nullopt;
+    return v->asDouble();
+}
+
 const std::string &
 JsonValue::asString() const
 {

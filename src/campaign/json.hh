@@ -165,6 +165,19 @@ std::optional<JsonValue> parseJsonFile(const std::string &path,
                                        std::string *error = nullptr);
 
 /**
+ * @name Defensive member reads
+ * For documents read back from disk (shard files, checkpoints): each
+ * returns nullopt for a missing member (@p v null) or the wrong kind
+ * instead of asserting like the typed accessors.
+ */
+///@{
+/** A non-negative integer that fits int64. */
+std::optional<std::uint64_t> jsonUint(const JsonValue *v);
+/** A finite number. */
+std::optional<double> jsonFinite(const JsonValue *v);
+///@}
+
+/**
  * Build identifier stamped into exported files: `git describe
  * --always --dirty` captured at configure time ("unknown" outside a
  * git checkout). Ties every result file back to the binary that

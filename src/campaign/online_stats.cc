@@ -3,119 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include "campaign/json.hh"
 #include "sim/logging.hh"
 
 namespace bpsim
 {
-
-P2Quantile::P2Quantile(double probability) : p(probability)
-{
-    BPSIM_ASSERT(probability > 0.0 && probability < 1.0,
-                 "quantile probability %g outside (0, 1)", probability);
-    for (int i = 0; i < 5; ++i) {
-        q[i] = 0.0;
-        n_[i] = static_cast<double>(i + 1);
-    }
-    np[0] = 1.0;
-    np[1] = 1.0 + 2.0 * p;
-    np[2] = 1.0 + 4.0 * p;
-    np[3] = 3.0 + 2.0 * p;
-    np[4] = 5.0;
-    dn[0] = 0.0;
-    dn[1] = p / 2.0;
-    dn[2] = p;
-    dn[3] = (1.0 + p) / 2.0;
-    dn[4] = 1.0;
-}
-
-void
-P2Quantile::add(double x)
-{
-    ++count_;
-    if (count_ <= 5) {
-        // Initialization phase: collect and keep sorted.
-        q[count_ - 1] = x;
-        std::sort(q, q + count_);
-        return;
-    }
-
-    // Find the cell containing x and clamp the extreme markers.
-    int k;
-    if (x < q[0]) {
-        q[0] = x;
-        k = 0;
-    } else if (x >= q[4]) {
-        q[4] = x;
-        k = 3;
-    } else {
-        k = 0;
-        while (k < 3 && x >= q[k + 1])
-            ++k;
-    }
-
-    for (int i = k + 1; i < 5; ++i)
-        n_[i] += 1.0;
-    for (int i = 0; i < 5; ++i)
-        np[i] += dn[i];
-
-    // Nudge the three middle markers toward their desired positions,
-    // with parabolic (falling back to linear) height adjustment.
-    for (int i = 1; i <= 3; ++i) {
-        const double d = np[i] - n_[i];
-        if ((d >= 1.0 && n_[i + 1] - n_[i] > 1.0) ||
-            (d <= -1.0 && n_[i - 1] - n_[i] < -1.0)) {
-            const double sign = d >= 0.0 ? 1.0 : -1.0;
-            const double qp =
-                q[i] +
-                sign / (n_[i + 1] - n_[i - 1]) *
-                    ((n_[i] - n_[i - 1] + sign) * (q[i + 1] - q[i]) /
-                         (n_[i + 1] - n_[i]) +
-                     (n_[i + 1] - n_[i] - sign) * (q[i] - q[i - 1]) /
-                         (n_[i] - n_[i - 1]));
-            if (q[i - 1] < qp && qp < q[i + 1]) {
-                q[i] = qp;
-            } else {
-                // Parabolic estimate left the bracket; linear step.
-                const int j = i + static_cast<int>(sign);
-                q[i] += sign * (q[j] - q[i]) / (n_[j] - n_[i]);
-            }
-            n_[i] += sign;
-        }
-    }
-}
-
-double
-P2Quantile::value() const
-{
-    if (count_ == 0)
-        return 0.0;
-    if (count_ <= 5) {
-        // Exact sample quantile (nearest-rank with interpolation).
-        const auto m = static_cast<double>(count_);
-        const double rank = p * (m - 1.0);
-        const auto lo = static_cast<std::size_t>(rank);
-        const std::size_t hi = std::min<std::size_t>(
-            lo + 1, static_cast<std::size_t>(count_) - 1);
-        const double frac = rank - static_cast<double>(lo);
-        return q[lo] + frac * (q[hi] - q[lo]);
-    }
-    return q[2];
-}
-
-P2Quantile
-P2Quantile::restore(double probability, const double heights[5],
-                    const double positions[5], const double desired[5],
-                    std::uint64_t count)
-{
-    P2Quantile s(probability); // recomputes dn from the probability
-    for (int i = 0; i < 5; ++i) {
-        s.q[i] = heights[i];
-        s.n_[i] = positions[i];
-        s.np[i] = desired[i];
-    }
-    s.count_ = count;
-    return s;
-}
 
 BinomialCi
 wilsonInterval(std::uint64_t successes, std::uint64_t trials, double z)
@@ -139,35 +31,119 @@ wilsonInterval(std::uint64_t successes, std::uint64_t trials, double z)
     return ci;
 }
 
-void
-MetricStats::add(double x)
+Moments
+momentsOf(std::uint64_t n, const ExactSum &sum, const ExactSum &sumSq)
 {
-    s.add(x);
-    q50.add(x);
-    q95.add(x);
-    q99.add(x);
-    td.add(x);
+    Moments m;
+    if (n == 0)
+        return m;
+    const auto nd = static_cast<double>(n);
+    const double s = sum.value();
+    m.mean = s / nd;
+    if (n >= 2)
+        m.variance = std::max(0.0, (sumSq.value() - s * s / nd) / nd);
+    return m;
+}
+
+void
+MergingMetric::add(double x)
+{
+    if (n_ == 0) {
+        min_ = max_ = x;
+    } else {
+        min_ = std::min(min_, x);
+        max_ = std::max(max_, x);
+    }
+    ++n_;
+    sum_.add(x);
+    sumSq_.add(x * x);
+    digest_.add(x);
+}
+
+void
+MergingMetric::merge(const MergingMetric &other)
+{
+    if (other.n_ == 0)
+        return;
+    if (n_ == 0) {
+        min_ = other.min_;
+        max_ = other.max_;
+    } else {
+        min_ = std::min(min_, other.min_);
+        max_ = std::max(max_, other.max_);
+    }
+    n_ += other.n_;
+    sum_.merge(other.sum_);
+    sumSq_.merge(other.sumSq_);
+    digest_.merge(other.digest_);
 }
 
 double
-MetricStats::meanCiHalfWidth(double z) const
+MergingMetric::mean() const
 {
-    if (s.count() < 2)
-        return 0.0;
-    return z * s.stddev() / std::sqrt(static_cast<double>(s.count()));
+    return n_ ? sum_.value() / static_cast<double>(n_) : 0.0;
 }
 
-MetricStats
-MetricStats::restore(const SummaryStats &summary, const P2Quantile &p50,
-                     const P2Quantile &p95, const P2Quantile &p99,
-                     TDigest digest)
+double
+MergingMetric::variance() const
 {
-    MetricStats m;
-    m.s = summary;
-    m.q50 = p50;
-    m.q95 = p95;
-    m.q99 = p99;
-    m.td = std::move(digest);
+    return n_ < 2 ? 0.0 : momentsOf(n_, sum_, sumSq_).variance;
+}
+
+double
+MergingMetric::stddev() const
+{
+    return std::sqrt(variance());
+}
+
+double
+MergingMetric::meanCiHalfWidth(double z) const
+{
+    if (n_ < 2)
+        return 0.0;
+    return z * std::sqrt(variance() / static_cast<double>(n_));
+}
+
+void
+MergingMetric::writeJson(JsonWriter &w) const
+{
+    w.beginObject();
+    w.field("count", n_);
+    w.field("min", min());
+    w.field("max", max());
+    w.key("sum");
+    sum_.writeJson(w);
+    w.key("sum_sq");
+    sumSq_.writeJson(w);
+    w.key("tdigest");
+    digest_.writeStateJson(w);
+    w.endObject();
+}
+
+std::optional<MergingMetric>
+MergingMetric::fromJson(const JsonValue &v)
+{
+    if (v.kind() != JsonValue::Kind::Object)
+        return std::nullopt;
+    const auto n = jsonUint(v.find("count"));
+    const auto min = jsonFinite(v.find("min"));
+    const auto max = jsonFinite(v.find("max"));
+    const JsonValue *sum = v.find("sum");
+    const JsonValue *sq = v.find("sum_sq");
+    const JsonValue *td = v.find("tdigest");
+    if (!n || !min || !max || !sum || !ExactSum::validJson(*sum) ||
+        !sq || !ExactSum::validJson(*sq) || !td)
+        return std::nullopt;
+    auto digest = TDigest::fromStateJson(*td);
+    if (!digest || digest->count() != *n || *min > *max)
+        return std::nullopt;
+    MergingMetric m;
+    m.n_ = *n;
+    m.min_ = *min;
+    m.max_ = *max;
+    m.sum_ = ExactSum::fromJson(*sum);
+    m.sumSq_ = ExactSum::fromJson(*sq);
+    m.digest_ = std::move(*digest);
     return m;
 }
 

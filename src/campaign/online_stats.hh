@@ -1,9 +1,9 @@
 /**
  * @file
  * Online (single-pass, bounded-memory) statistics for Monte Carlo
- * campaigns: the P² streaming quantile sketch, Wilson score intervals
- * for binomial proportions (loss-free-year fraction), and a per-metric
- * aggregate bundling Welford moments with P50/P95/P99 sketches.
+ * campaigns: the one per-metric aggregate (MergingMetric) and Wilson
+ * score intervals for binomial proportions (the loss-free-year
+ * fraction).
  *
  * Everything here is deterministic in the input *sequence*: feeding
  * the same observations in the same order yields bit-identical state.
@@ -16,65 +16,13 @@
 #define BPSIM_CAMPAIGN_ONLINE_STATS_HH
 
 #include <cstdint>
+#include <optional>
 
+#include "campaign/exact_sum.hh"
 #include "campaign/tdigest.hh"
-#include "sim/stats.hh"
 
 namespace bpsim
 {
-
-/**
- * P² streaming quantile estimator (Jain & Chlamtac, CACM 1985):
- * tracks one quantile of an unbounded stream with five markers and
- * O(1) memory. Exact for the first five observations, a parabolic
- * interpolation thereafter.
- */
-class P2Quantile
-{
-  public:
-    /** Track the @p probability quantile (0 < probability < 1). */
-    explicit P2Quantile(double probability);
-
-    /** Add one observation. */
-    void add(double x);
-
-    /** Current estimate (exact sample quantile while count() < 5). */
-    double value() const;
-
-    /** Observations seen. */
-    std::uint64_t count() const { return count_; }
-
-    /** The tracked probability. */
-    double probability() const { return p; }
-
-    /**
-     * @name Checkpoint state access
-     * The exact marker state, for campaign checkpoints that resume a
-     * stream bit-identically (campaign/checkpoint.hh). The desired
-     * position increments are a pure function of the probability, so
-     * only the heights, positions and desired positions need to ride
-     * the checkpoint.
-     */
-    ///@{
-    const double *markerHeights() const { return q; }       // q[5]
-    const double *markerPositions() const { return n_; }    // n_[5]
-    const double *desiredPositions() const { return np; }   // np[5]
-    /** Rebuild a sketch mid-stream from checkpointed marker state. */
-    static P2Quantile restore(double probability,
-                              const double heights[5],
-                              const double positions[5],
-                              const double desired[5],
-                              std::uint64_t count);
-    ///@}
-
-  private:
-    double p;
-    double q[5];  // marker heights
-    double n_[5]; // marker positions (1-based)
-    double np[5]; // desired marker positions
-    double dn[5]; // desired position increments
-    std::uint64_t count_ = 0;
-};
 
 /** A binomial proportion with its Wilson score interval. */
 struct BinomialCi
@@ -92,61 +40,83 @@ struct BinomialCi
 BinomialCi wilsonInterval(std::uint64_t successes, std::uint64_t trials,
                           double z = 1.96);
 
+/** Digest compression of every campaign metric (≲1% mid-rank error). */
+constexpr double kDigestCompression = 100.0;
+
+/** Mean and population variance of a metric. */
+struct Moments
+{
+    double mean = 0.0;
+    double variance = 0.0;
+};
+
 /**
- * One campaign metric: streaming moments (Welford), P50/P95/P99 P²
- * sketches, and a t-digest for arbitrary (and mergeable) quantiles.
- * The P² values remain the canonical p50/p95/p99 readouts for
- * backward compatibility; quantile() reads the digest.
+ * Moments of @p n observations whose exact sum and sum of squares are
+ * @p sum and @p sumSq. Reads each sum once. Variance is 0 below two
+ * observations and clamped at 0.
  */
-class MetricStats
+Moments momentsOf(std::uint64_t n, const ExactSum &sum,
+                  const ExactSum &sumSq);
+
+/**
+ * One campaign metric: integer count, ExactSum sums (so mean and
+ * variance are bit-identical for any partition of the trials into
+ * shards, checkpoints or resumes), exact min/max, and a t-digest for
+ * quantiles. The same type serves a single-process campaign, a shard
+ * and a checkpoint; the campaign aggregate holds five of them.
+ */
+class MergingMetric
 {
   public:
     /** Add one per-trial observation. */
     void add(double x);
 
-    /** Welford count/mean/variance/min/max/sum. */
-    const SummaryStats &summary() const { return s; }
+    /** Fold another metric in (exact except for digest placement). */
+    void merge(const MergingMetric &other);
 
-    double p50() const { return q50.value(); }
-    double p95() const { return q95.value(); }
-    double p99() const { return q99.value(); }
-
-    /** Any quantile, from the t-digest (see campaign/tdigest.hh). */
-    double quantile(double q) const { return td.quantile(q); }
-
-    /** The underlying mergeable sketch. */
-    const TDigest &digest() const { return td; }
-
+    std::uint64_t count() const { return n_; }
+    double min() const { return n_ ? min_ : 0.0; }
+    double max() const { return n_ ? max_ : 0.0; }
+    /** sum/n via ExactSum: bit-identical for any shard partition. */
+    double mean() const;
+    /** Population variance from exact sums (clamped at 0). */
+    double variance() const;
+    double stddev() const;
     /**
      * Normal-approximation half-width of the confidence interval on
-     * the mean: z * stddev / sqrt(n). Zero for fewer than 2 samples.
+     * the mean: z * sqrt(variance / n). Zero for fewer than 2 samples.
      */
     double meanCiHalfWidth(double z = 1.96) const;
 
+    /** Any quantile, from the t-digest (see campaign/tdigest.hh). */
+    double quantile(double q) const { return digest_.quantile(q); }
+    double p50() const { return quantile(0.50); }
+    double p95() const { return quantile(0.95); }
+    double p99() const { return quantile(0.99); }
+
+    const ExactSum &sum() const { return sum_; }
+    const ExactSum &sumSq() const { return sumSq_; }
+    const TDigest &digest() const { return digest_; }
+
     /**
-     * @name Checkpoint state access
-     * The P² sketches behind p50/p95/p99, and a restore factory that
-     * rebuilds the whole per-metric aggregate mid-stream. Feeding the
-     * same tail of observations to a restored metric yields state (and
-     * serialized bytes) identical to never having checkpointed — the
-     * invariant campaign/checkpoint.hh is built on.
+     * Emit the exact state as a JSON object in value position. The
+     * digest is written unflushed (TDigest::writeStateJson), so a
+     * metric read back and fed more observations is bit-identical to
+     * one that never left memory.
      */
-    ///@{
-    const P2Quantile &sketch50() const { return q50; }
-    const P2Quantile &sketch95() const { return q95; }
-    const P2Quantile &sketch99() const { return q99; }
-    static MetricStats restore(const SummaryStats &summary,
-                               const P2Quantile &p50,
-                               const P2Quantile &p95,
-                               const P2Quantile &p99, TDigest digest);
-    ///@}
+    void writeJson(JsonWriter &w) const;
+    /**
+     * Rebuild from writeJson output. Returns nullopt on malformed or
+     * inconsistent input instead of asserting: metric state arrives
+     * from shard files and disk caches.
+     */
+    static std::optional<MergingMetric> fromJson(const JsonValue &v);
 
   private:
-    SummaryStats s;
-    P2Quantile q50{0.50};
-    P2Quantile q95{0.95};
-    P2Quantile q99{0.99};
-    TDigest td{100.0};
+    std::uint64_t n_ = 0;
+    double min_ = 0.0, max_ = 0.0;
+    ExactSum sum_, sumSq_;
+    TDigest digest_{kDigestCompression};
 };
 
 } // namespace bpsim

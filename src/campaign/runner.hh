@@ -6,7 +6,7 @@
  * dense trial id in [0, trials). The runner fans trials out across a
  * work-stealing thread pool and funnels the results through a reorder
  * buffer so the consumer sees them in strict trial-id order — which
- * makes every aggregate (Welford moments, P² sketches, early-stop
+ * makes every aggregate (exact sums, t-digests, early-stop
  * decisions, progress sequences) bit-identical for any thread count
  * and any scheduling, provided each trial is a pure function of its
  * id (derive per-trial randomness as `Rng::stream(seed, id)`, never

@@ -2,16 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <fstream>
 #include <sstream>
-#include <vector>
+#include <utility>
 
-#include "campaign/batch_kernel.hh"
 #include "campaign/json.hh"
-#include "campaign/runner.hh"
 #include "obs/obs.hh"
-#include "outage/trace.hh"
 #include "sim/logging.hh"
 
 namespace bpsim
@@ -20,118 +16,234 @@ namespace bpsim
 namespace
 {
 
-constexpr Time kYear = 365LL * 24 * kHour;
-
 /** Set @p error (when wired) and return false: validation helper. */
 bool
-failMerge(std::string *error, std::string why)
+fail(std::string *error, std::string why)
 {
     if (error)
         *error = std::move(why);
     return false;
 }
 
-/**
- * Emit the optional "histograms" member: name -> sparse bucket map.
- * Omitted entirely when empty, so files from uninstrumented runs stay
- * byte-identical to plain schema v1 (the counters-sidecar contract).
- */
-void
-writeHistogramsObject(
-    JsonWriter &w,
-    const std::map<std::string, obs::HistogramSnapshot> &histograms)
+std::string
+rangeName(const ShardSpec &s)
 {
-    if (histograms.empty())
-        return;
-    w.key("histograms").beginObject();
-    for (const auto &[name, h] : histograms) {
-        w.key(name).beginObject();
-        w.key("buckets").beginObject();
-        for (const auto &[i, c] : h.buckets)
-            w.field(std::to_string(i), c);
-        w.endObject();
-        w.endObject();
-    }
-    w.endObject();
+    return formatString("[%llu, %llu)",
+                        static_cast<unsigned long long>(s.lo),
+                        static_cast<unsigned long long>(s.hi));
 }
 
-/**
- * Aggregate one trial into the shard, in local-trial order; identical
- * between the scalar and batched drivers by construction.
- */
+/** Emit the obs members, each omitted when empty. */
 void
-aggregateShardTrial(ShardResult &out, const ShardOptions &opts,
-                    std::uint64_t local, std::uint64_t width,
-                    const AnnualResult &r)
+writeObsDeltas(JsonWriter &w, const ObsDeltas &d)
 {
-    out.downtimeMin.add(r.downtimeMin);
-    out.lossesPerYear.add(static_cast<double>(r.losses));
-    out.meanPerf.add(r.meanPerf);
-    out.batteryKwh.add(r.batteryKwh);
-    out.worstGapMin.add(r.worstGapMin);
-    // Per-trial distribution metrics (consume runs in trial
-    // order, so the bucket counts are thread-count invariant).
-    BPSIM_OBS_HISTOGRAM_RECORD("campaign.trial_downtime_min",
-                               r.downtimeMin);
-    BPSIM_OBS_HISTOGRAM_RECORD("campaign.trial_worst_gap_min",
-                               r.worstGapMin);
-    if (r.losses == 0)
-        ++out.lossFreeTrials;
-    ++out.trials;
-    const bool last = local + 1 == width;
-    if (last || (opts.checkpointEvery != 0 &&
-                 (local + 1) % opts.checkpointEvery == 0)) {
-        out.checkpoints.push_back(
-            {out.trials, out.downtimeMin.sum(), out.downtimeMin.sumSq()});
+    if (!d.counters.empty()) {
+        w.key("counters").beginObject();
+        for (const auto &[name, v] : d.counters)
+            w.field(name, v);
+        w.endObject();
+    }
+    if (!d.histograms.empty()) {
+        w.key("histograms").beginObject();
+        for (const auto &[name, h] : d.histograms) {
+            w.key(name).beginObject();
+            w.key("buckets").beginObject();
+            for (const auto &[i, c] : h.buckets)
+                w.field(std::to_string(i), c);
+            w.endObject();
+            w.endObject();
+        }
+        w.endObject();
+    }
+    if (!d.incidents.empty()) {
+        w.key("incidents");
+        d.incidents.writeJson(w);
     }
 }
 
-/**
- * Shared bracket around both shard drivers: obs counter/histogram
- * deltas, the trace bookmark for the incident fold, provenance, and
- * wall-clock — everything a shard file carries besides the trial
- * aggregates that @p run produces.
- */
-template <typename RunFn>
-ShardResult
-runShardWithBrackets(const ShardSpec &spec, RunFn &&run)
+/** Digits-only bucket-index parse (no exceptions, no sign, no 0x). */
+bool
+parseBucketIndex(const std::string &s, std::uint32_t &out)
 {
-    BPSIM_ASSERT(spec.hi > spec.lo && spec.hi <= spec.campaignTrials,
-                 "shard range [%llu, %llu) invalid for a %llu-trial "
-                 "campaign",
-                 static_cast<unsigned long long>(spec.lo),
-                 static_cast<unsigned long long>(spec.hi),
-                 static_cast<unsigned long long>(spec.campaignTrials));
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto counters_before = obs::Registry::global().counterSnapshot();
-    const auto histograms_before =
-        obs::Registry::global().histogramSnapshot();
-    // Bookmark (not drain) the trace: the incident engine folds this
-    // shard's events below while leaving them in place for the
-    // caller's own drain()-based export.
-    const auto trace_mark = obs::TraceSink::instance().mark();
+    if (s.empty() || s.size() > 9)
+        return false;
+    std::uint64_t v = 0;
+    for (const char c : s) {
+        if (c < '0' || c > '9')
+            return false;
+        v = v * 10 + static_cast<std::uint64_t>(c - '0');
+    }
+    out = static_cast<std::uint32_t>(v);
+    return true;
+}
 
-    ShardResult out;
-    out.spec = spec;
-    out.build = buildId();
-    run(out);
+/** Structural pre-check for IncidentAggregate::fromJson (which
+ *  asserts): every member it dereferences must exist with the right
+ *  shape before it runs on untrusted bytes. */
+bool
+validIncidentJson(const JsonValue &v)
+{
+    if (v.kind() != JsonValue::Kind::Object)
+        return false;
+    for (const char *key :
+         {"trials", "incidents", "truncated", "loss_incidents"}) {
+        if (!jsonUint(v.find(key)))
+            return false;
+    }
+    const JsonValue *reported = v.find("reported_min");
+    if (!reported || !ExactSum::validJson(*reported))
+        return false;
+    const JsonValue *causes = v.find("by_cause");
+    if (!causes || causes->kind() != JsonValue::Kind::Object)
+        return false;
+    for (std::size_t c = 0; c < obs::kRootCauseCount; ++c) {
+        const JsonValue *e = causes->find(
+            obs::rootCauseName(static_cast<obs::RootCause>(c)));
+        if (!e || e->kind() != JsonValue::Kind::Object ||
+            !jsonUint(e->find("primary")))
+            return false;
+        const JsonValue *min = e->find("min");
+        if (!min || !ExactSum::validJson(*min))
+            return false;
+    }
+    return true;
+}
 
-    out.counters = obs::subtractCounters(
-        obs::Registry::global().counterSnapshot(), counters_before);
-    out.histograms = obs::subtractHistograms(
-        obs::Registry::global().histogramSnapshot(), histograms_before);
-    if (obs::enabled())
-        out.incidents =
-            obs::buildIncidentReport(
-                obs::TraceSink::instance().eventsSince(trace_mark))
-                .aggregate;
-    const std::chrono::duration<double> wall =
-        std::chrono::steady_clock::now() - t0;
-    out.wallSeconds = wall.count();
-    return out;
+/** Read the optional obs members of @p doc into @p out. */
+bool
+readObsDeltas(const JsonValue &doc, ObsDeltas &out, std::string *error)
+{
+    if (const JsonValue *cs = doc.find("counters")) {
+        if (cs->kind() != JsonValue::Kind::Object)
+            return fail(error, "malformed counters");
+        for (std::size_t i = 0; i < cs->size(); ++i) {
+            const auto &[name, v] = cs->member(i);
+            const auto n = jsonUint(&v);
+            if (!n)
+                return fail(error, "malformed counter " + name);
+            out.counters[name] = *n;
+        }
+    }
+    if (const JsonValue *hs = doc.find("histograms")) {
+        if (hs->kind() != JsonValue::Kind::Object)
+            return fail(error, "malformed histograms");
+        for (std::size_t i = 0; i < hs->size(); ++i) {
+            const auto &[name, h] = hs->member(i);
+            const JsonValue *buckets =
+                h.kind() == JsonValue::Kind::Object ? h.find("buckets")
+                                                    : nullptr;
+            if (!buckets || buckets->kind() != JsonValue::Kind::Object)
+                return fail(error, "malformed histogram " + name);
+            obs::HistogramSnapshot snap;
+            for (std::size_t j = 0; j < buckets->size(); ++j) {
+                const auto &[idx, cnt] = buckets->member(j);
+                std::uint32_t bucket = 0;
+                const auto n = jsonUint(&cnt);
+                if (!parseBucketIndex(idx, bucket) || !n)
+                    return fail(error, "malformed histogram " + name);
+                snap.buckets[bucket] = *n;
+            }
+            out.histograms[name] = std::move(snap);
+        }
+    }
+    if (const JsonValue *inc = doc.find("incidents")) {
+        if (!validIncidentJson(*inc))
+            return fail(error, "malformed incident aggregate");
+        out.incidents = obs::IncidentAggregate::fromJson(*inc);
+    }
+    return true;
+}
+
+/** Parse and cross-check everything but the schema stamp. */
+bool
+readShardBody(const JsonValue &doc, ShardResult &out, std::string *error)
+{
+    ShardSpec &spec = out.spec;
+    for (const auto &[key, into] :
+         {std::pair<const char *, std::uint64_t *>{"seed", &spec.seed},
+          {"campaign_trials", &spec.campaignTrials},
+          {"trial_lo", &spec.lo},
+          {"trial_hi", &spec.hi},
+          {"shard_index", &spec.shardIndex},
+          {"shard_count", &spec.shardCount},
+          {"trials", &out.trials},
+          {"loss_free_trials", &out.lossFreeTrials}}) {
+        const auto v = jsonUint(doc.find(key));
+        if (!v)
+            return fail(error, std::string("missing or malformed ") + key);
+        *into = *v;
+    }
+    const JsonValue *build = doc.find("build");
+    if (!build || build->kind() != JsonValue::Kind::String)
+        return fail(error, "missing build identifier");
+    out.build = build->asString();
+    if (spec.lo >= spec.hi || spec.hi > spec.campaignTrials ||
+        spec.shardIndex >= spec.shardCount ||
+        out.trials != spec.width() || out.lossFreeTrials > out.trials)
+        return fail(error, "inconsistent trial range " + rangeName(spec));
+
+    const JsonValue *metrics = doc.find("metrics");
+    if (!metrics || metrics->kind() != JsonValue::Kind::Object)
+        return fail(error, "missing metrics object");
+    for (const auto &[name, field] : CampaignAggregate::kMetrics) {
+        const JsonValue *m = metrics->find(name);
+        auto metric = m ? MergingMetric::fromJson(*m) : std::nullopt;
+        if (!metric || metric->count() != out.trials)
+            return fail(error, std::string("malformed metric ") + name);
+        out.*field = std::move(*metric);
+    }
+
+    const JsonValue *cps = doc.find("checkpoints");
+    if (!cps || cps->kind() != JsonValue::Kind::Array)
+        return fail(error, "missing checkpoints array");
+    std::uint64_t prev = 0;
+    for (std::size_t i = 0; i < cps->size(); ++i) {
+        const JsonValue &c = cps->item(i);
+        const auto trials = c.kind() == JsonValue::Kind::Object
+                                ? jsonUint(c.find("trials"))
+                                : std::nullopt;
+        const JsonValue *sum = trials ? c.find("sum") : nullptr;
+        const JsonValue *sq = trials ? c.find("sum_sq") : nullptr;
+        if (!sum || !ExactSum::validJson(*sum) || !sq ||
+            !ExactSum::validJson(*sq) || *trials <= prev ||
+            *trials >= out.trials)
+            return fail(error, "malformed checkpoint prefix");
+        out.checkpoints.push_back({*trials, ExactSum::fromJson(*sum),
+                                   ExactSum::fromJson(*sq)});
+        prev = *trials;
+    }
+    return readObsDeltas(doc, out, error);
 }
 
 } // namespace
+
+void
+ObsDeltas::merge(const ObsDeltas &other)
+{
+    obs::mergeCounters(counters, other.counters);
+    obs::mergeHistograms(histograms, other.histograms);
+    incidents.merge(other.incidents);
+}
+
+void
+recordObsDeltas(ObsDeltas &into, const std::function<void()> &run)
+{
+    const auto counters_before = obs::Registry::global().counterSnapshot();
+    const auto histograms_before =
+        obs::Registry::global().histogramSnapshot();
+    const auto trace_mark = obs::TraceSink::instance().mark();
+    run();
+    ObsDeltas d;
+    d.counters = obs::subtractCounters(
+        obs::Registry::global().counterSnapshot(), counters_before);
+    d.histograms = obs::subtractHistograms(
+        obs::Registry::global().histogramSnapshot(), histograms_before);
+    if (obs::enabled())
+        d.incidents = obs::buildIncidentReport(
+                          obs::TraceSink::instance().eventsSince(trace_mark))
+                          .aggregate;
+    into.merge(d);
+}
 
 ShardSpec
 shardOf(std::uint64_t seed, std::uint64_t trials, std::uint64_t index,
@@ -155,196 +267,53 @@ shardOf(std::uint64_t seed, std::uint64_t trials, std::uint64_t index,
     return spec;
 }
 
-void
-MergingMetric::add(double x)
-{
-    if (n_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++n_;
-    sum_.add(x);
-    sumSq_.add(x * x);
-    digest_.add(x);
-}
-
-void
-MergingMetric::merge(const MergingMetric &other)
-{
-    if (other.n_ == 0)
-        return;
-    if (n_ == 0) {
-        min_ = other.min_;
-        max_ = other.max_;
-    } else {
-        min_ = std::min(min_, other.min_);
-        max_ = std::max(max_, other.max_);
-    }
-    n_ += other.n_;
-    sum_.merge(other.sum_);
-    sumSq_.merge(other.sumSq_);
-    digest_.merge(other.digest_);
-}
-
-double
-MergingMetric::mean() const
-{
-    return n_ ? sum_.value() / static_cast<double>(n_) : 0.0;
-}
-
-double
-MergingMetric::variance() const
-{
-    if (n_ < 2)
-        return 0.0;
-    const auto n = static_cast<double>(n_);
-    const double s = sum_.value();
-    return std::max(0.0, (sumSq_.value() - s * s / n) / n);
-}
-
-double
-MergingMetric::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-double
-MergingMetric::meanCiHalfWidth(double z) const
-{
-    if (n_ < 2)
-        return 0.0;
-    return z * stddev() / std::sqrt(static_cast<double>(n_));
-}
-
-void
-MergingMetric::writeJson(JsonWriter &w) const
-{
-    w.beginObject();
-    w.field("count", n_);
-    w.field("min", min());
-    w.field("max", max());
-    w.field("mean", mean()); // derived; readers ignore it
-    w.key("sum");
-    sum_.writeJson(w);
-    w.key("sum_sq");
-    sumSq_.writeJson(w);
-    w.key("tdigest");
-    digest_.writeJson(w);
-    w.endObject();
-}
-
-MergingMetric
-MergingMetric::fromJson(const JsonValue &v)
-{
-    MergingMetric m;
-    m.n_ = v.at("count").asUint();
-    m.min_ = v.at("min").asDouble();
-    m.max_ = v.at("max").asDouble();
-    m.sum_ = ExactSum::fromJson(v.at("sum"));
-    m.sumSq_ = ExactSum::fromJson(v.at("sum_sq"));
-    m.digest_ = TDigest::fromJson(v.at("tdigest"));
-    return m;
-}
-
-ShardResult
-runAnnualShard(const AnnualTrialFn &trial, const ShardSpec &spec,
-               const ShardOptions &opts)
-{
-    return runShardWithBrackets(spec, [&](ShardResult &out) {
-        const std::uint64_t width = spec.width();
-
-        const std::function<AnnualResult(std::uint64_t)> body =
-            [&](std::uint64_t local) {
-                const std::uint64_t id = spec.lo + local;
-                // Tag every trace event with the GLOBAL trial id:
-                // (trial, seq) is the thread-count-invariant trace
-                // sort key.
-                const obs::TrialScope trace_scope(id);
-                Rng rng = Rng::stream(spec.seed, id);
-                return trial(id, rng);
-            };
-        const std::function<bool(std::uint64_t, AnnualResult &&)>
-            consume = [&](std::uint64_t local, AnnualResult &&r) {
-                aggregateShardTrial(out, opts, local, width, r);
-                return true; // shards never stop early
-            };
-
-        CampaignOptions copts;
-        copts.threads = opts.threads;
-        runCampaign<AnnualResult>(width, body, consume, copts);
-    });
-}
-
 namespace
 {
 
-/**
- * Batched shard driver: lane batches across the pool, unpacked through
- * the same local-trial-order aggregation (including the checkpoint
- * cadence), so shard files are byte-identical to the scalar driver's
- * for any (batch, threads).
- */
 ShardResult
-runBatchedShard(const AnnualCampaignSpec &scenario, const ShardSpec &spec,
-                const ShardOptions &opts)
+runShard(const TrialSource &source, const ShardSpec &spec,
+         const ShardOptions &opts)
 {
-    return runShardWithBrackets(spec, [&](ShardResult &out) {
-        const std::uint64_t width = spec.width();
-        const BatchAnnualKernel kernel(scenario.profile,
-                                       scenario.nServers,
-                                       scenario.technique,
-                                       scenario.config);
-        const std::uint64_t batch = opts.batch;
-        const std::uint64_t chunks = (width + batch - 1) / batch;
-
-        const std::function<std::vector<AnnualResult>(std::uint64_t)>
-            body = [&](std::uint64_t chunk) {
-                const std::uint64_t lo = spec.lo + chunk * batch;
-                const std::uint64_t hi =
-                    std::min(lo + batch, spec.hi);
-                std::vector<AnnualResult> results(
-                    static_cast<std::size_t>(hi - lo));
-                kernel.runBatch(spec.seed, lo, hi, results.data());
-                return results;
-            };
-        const std::function<bool(std::uint64_t,
-                                 std::vector<AnnualResult> &&)>
-            consume = [&](std::uint64_t chunk,
-                          std::vector<AnnualResult> &&results) {
-                const std::uint64_t first = chunk * batch;
-                for (std::size_t i = 0; i < results.size(); ++i)
-                    aggregateShardTrial(out, opts, first + i, width,
-                                        results[i]);
-                return true; // shards never stop early
-            };
-
-        CampaignOptions copts;
-        copts.threads = opts.threads;
-        runCampaign<std::vector<AnnualResult>>(chunks, body, consume,
-                                               copts);
+    BPSIM_ASSERT(spec.hi > spec.lo && spec.hi <= spec.campaignTrials,
+                 "shard range %s invalid for a %llu-trial campaign",
+                 rangeName(spec).c_str(),
+                 static_cast<unsigned long long>(spec.campaignTrials));
+    const auto t0 = std::chrono::steady_clock::now();
+    ShardResult out;
+    out.spec = spec;
+    out.build = buildId();
+    recordObsDeltas(out, [&] {
+        foldTrials(out, source, spec.lo, spec.hi, opts.threads,
+                   [&](std::uint64_t id) {
+                       if (opts.checkpointEvery != 0 && id + 1 < spec.hi &&
+                           out.trials % opts.checkpointEvery == 0)
+                           out.checkpoints.push_back(
+                               {out.trials, out.downtimeMin.sum(),
+                                out.downtimeMin.sumSq()});
+                       return true; // shards never stop early
+                   });
     });
+    const std::chrono::duration<double> wall =
+        std::chrono::steady_clock::now() - t0;
+    out.wallSeconds = wall.count();
+    return out;
 }
 
 } // namespace
 
 ShardResult
+runAnnualShard(const AnnualTrialFn &trial, const ShardSpec &spec,
+               const ShardOptions &opts)
+{
+    return runShard(TrialSource(trial, spec.seed), spec, opts);
+}
+
+ShardResult
 runAnnualShard(const AnnualCampaignSpec &scenario, const ShardSpec &spec,
                const ShardOptions &opts)
 {
-    if (opts.batch != 0)
-        return runBatchedShard(scenario, spec, opts);
-    const auto gen = OutageTraceGenerator::figure1();
-    const AnnualSimulator sim;
-    return runAnnualShard(
-        [&](std::uint64_t, Rng &rng) {
-            const auto events = gen.generate(rng, kYear);
-            return sim.runYear(scenario.profile, scenario.nServers,
-                               scenario.technique, scenario.config,
-                               events);
-        },
-        spec, opts);
+    return runShard(TrialSource(scenario, spec.seed, opts.batch), spec,
+                    opts);
 }
 
 void
@@ -361,19 +330,13 @@ writeShardJson(std::ostream &os, const ShardResult &shard)
     w.field("shard_index", shard.spec.shardIndex);
     w.field("shard_count", shard.spec.shardCount);
     w.field("build", shard.build);
-    w.field("wall_seconds", shard.wallSeconds);
     w.field("trials", shard.trials);
     w.field("loss_free_trials", shard.lossFreeTrials);
     w.key("metrics").beginObject();
-    const auto metric = [&w](const char *name, const MergingMetric &m) {
+    for (const auto &[name, field] : CampaignAggregate::kMetrics) {
         w.key(name);
-        m.writeJson(w);
-    };
-    metric("downtime_min", shard.downtimeMin);
-    metric("losses_per_year", shard.lossesPerYear);
-    metric("mean_perf", shard.meanPerf);
-    metric("battery_kwh", shard.batteryKwh);
-    metric("worst_gap_min", shard.worstGapMin);
+        (shard.*field).writeJson(w);
+    }
     w.endObject();
     w.key("checkpoints").beginArray();
     for (const auto &c : shard.checkpoints) {
@@ -386,20 +349,7 @@ writeShardJson(std::ostream &os, const ShardResult &shard)
         w.endObject();
     }
     w.endArray();
-    // Only present when observability produced counts: shard files
-    // from uninstrumented runs stay byte-identical to plain schema v1.
-    if (!shard.counters.empty()) {
-        w.key("counters").beginObject();
-        for (const auto &[name, v] : shard.counters)
-            w.field(name, v);
-        w.endObject();
-    }
-    writeHistogramsObject(w, shard.histograms);
-    // Same omitted-when-empty contract as counters/histograms.
-    if (!shard.incidents.empty()) {
-        w.key("incidents");
-        shard.incidents.writeJson(w);
-    }
+    writeObsDeltas(w, shard);
     w.endObject();
     os << '\n';
 }
@@ -410,73 +360,26 @@ readShardJson(const std::string &text, std::string *error)
     const auto doc = parseJson(text, error);
     if (!doc)
         return std::nullopt;
-
+    if (doc->kind() != JsonValue::Kind::Object) {
+        fail(error, "not a campaign shard file (not an object)");
+        return std::nullopt;
+    }
     const JsonValue *schema = doc->find("schema");
     if (!schema || schema->kind() != JsonValue::Kind::String ||
         schema->asString() != kShardSchemaName) {
-        failMerge(error, "not a campaign shard file (schema mismatch)");
+        fail(error, "not a campaign shard file (schema mismatch)");
         return std::nullopt;
     }
-    const JsonValue *version = doc->find("schema_version");
-    if (!version || version->asInt() != kShardSchemaVersion) {
-        failMerge(error,
-                  formatString("unsupported shard schema version "
-                               "(want %d)",
-                               kShardSchemaVersion));
+    const auto version = jsonUint(doc->find("schema_version"));
+    if (!version || *version != kShardSchemaVersion) {
+        fail(error, formatString("unsupported shard schema version "
+                                 "(want %d)",
+                                 kShardSchemaVersion));
         return std::nullopt;
     }
-
     ShardResult out;
-    out.spec.seed = doc->at("seed").asUint();
-    out.spec.campaignTrials = doc->at("campaign_trials").asUint();
-    out.spec.lo = doc->at("trial_lo").asUint();
-    out.spec.hi = doc->at("trial_hi").asUint();
-    out.spec.shardIndex = doc->at("shard_index").asUint();
-    out.spec.shardCount = doc->at("shard_count").asUint();
-    out.build = doc->at("build").asString();
-    out.wallSeconds = doc->at("wall_seconds").asDouble();
-    out.trials = doc->at("trials").asUint();
-    out.lossFreeTrials = doc->at("loss_free_trials").asUint();
-
-    const JsonValue &metrics = doc->at("metrics");
-    out.downtimeMin = MergingMetric::fromJson(metrics.at("downtime_min"));
-    out.lossesPerYear =
-        MergingMetric::fromJson(metrics.at("losses_per_year"));
-    out.meanPerf = MergingMetric::fromJson(metrics.at("mean_perf"));
-    out.batteryKwh = MergingMetric::fromJson(metrics.at("battery_kwh"));
-    out.worstGapMin =
-        MergingMetric::fromJson(metrics.at("worst_gap_min"));
-
-    const JsonValue &cps = doc->at("checkpoints");
-    for (std::size_t i = 0; i < cps.size(); ++i) {
-        const JsonValue &c = cps.item(i);
-        out.checkpoints.push_back(
-            {c.at("trials").asUint(), ExactSum::fromJson(c.at("sum")),
-             ExactSum::fromJson(c.at("sum_sq"))});
-    }
-    if (const JsonValue *cs = doc->find("counters")) {
-        for (std::size_t i = 0; i < cs->size(); ++i) {
-            const auto &[name, v] = cs->member(i);
-            out.counters[name] = v.asUint();
-        }
-    }
-    if (const JsonValue *hs = doc->find("histograms")) {
-        for (std::size_t i = 0; i < hs->size(); ++i) {
-            const auto &[name, h] = hs->member(i);
-            obs::HistogramSnapshot snap;
-            const JsonValue &buckets = h.at("buckets");
-            for (std::size_t j = 0; j < buckets.size(); ++j) {
-                const auto &[idx, c] = buckets.member(j);
-                snap.buckets[static_cast<std::uint32_t>(
-                    std::stoul(idx))] = c.asUint();
-            }
-            out.histograms[name] = std::move(snap);
-        }
-    }
-    // Pre-forensics shard files have no "incidents" member; they
-    // parse (and merge) with an empty aggregate.
-    if (const JsonValue *inc = doc->find("incidents"))
-        out.incidents = obs::IncidentAggregate::fromJson(*inc);
+    if (!readShardBody(*doc, out, error))
+        return std::nullopt;
     return out;
 }
 
@@ -485,7 +388,7 @@ readShardFile(const std::string &path, std::string *error)
 {
     std::ifstream is(path);
     if (!is) {
-        failMerge(error, "cannot open " + path);
+        fail(error, "cannot open " + path);
         return std::nullopt;
     }
     std::ostringstream ss;
@@ -493,7 +396,7 @@ readShardFile(const std::string &path, std::string *error)
     std::string err;
     auto out = readShardJson(ss.str(), &err);
     if (!out)
-        failMerge(error, path + ": " + err);
+        fail(error, path + ": " + err);
     return out;
 }
 
@@ -501,44 +404,30 @@ EarlyStopDecision
 evaluateEarlyStop(const std::vector<ShardResult> &shards,
                   const EarlyStopRule &rule)
 {
-    EarlyStopDecision out;
-    if (!rule.enabled())
-        return out;
-
     // Exact running prefix over fully merged earlier shards.
     std::uint64_t prefix_n = 0;
     ExactSum prefix_sum, prefix_sq;
+    const auto at = [&](std::uint64_t n, const ExactSum &sum,
+                        const ExactSum &sq) {
+        ExactSum s = prefix_sum;
+        s.merge(sum);
+        ExactSum q = prefix_sq;
+        q.merge(sq);
+        return evaluateStopRule(rule, prefix_n + n, s, q);
+    };
     for (const auto &s : shards) {
-        for (const auto &c : s.checkpoints) {
-            const std::uint64_t t = prefix_n + c.trials;
-            if (t < rule.minTrials)
-                continue;
-            ExactSum sum = prefix_sum;
-            sum.merge(c.sum);
-            ExactSum sq = prefix_sq;
-            sq.merge(c.sumSq);
-            const auto n = static_cast<double>(t);
-            const double sv = sum.value();
-            const double mean = sv / n;
-            const double var =
-                t < 2 ? 0.0
-                      : std::max(0.0, (sq.value() - sv * sv / n) / n);
-            const double hw = rule.ciZ * std::sqrt(var / n);
-            const double tol = std::max(rule.ciAbsTolMin,
-                                        rule.ciRelTol * std::abs(mean));
-            if (hw <= tol) {
-                out.fired = true;
-                out.stopTrial = t;
-                out.halfWidth = hw;
-                out.mean = mean;
-                return out;
-            }
-        }
+        for (const auto &c : s.checkpoints)
+            if (const auto d = at(c.trials, c.sum, c.sumSq); d.fired)
+                return d;
+        if (const auto d =
+                at(s.trials, s.downtimeMin.sum(), s.downtimeMin.sumSq());
+            d.fired)
+            return d;
         prefix_n += s.trials;
         prefix_sum.merge(s.downtimeMin.sum());
         prefix_sq.merge(s.downtimeMin.sumSq());
     }
-    return out;
+    return {};
 }
 
 std::optional<MergedCampaign>
@@ -546,7 +435,7 @@ mergeShards(std::vector<ShardResult> shards, const EarlyStopRule *rule,
             std::string *error)
 {
     if (shards.empty()) {
-        failMerge(error, "no shards to merge");
+        fail(error, "no shards to merge");
         return std::nullopt;
     }
     std::sort(shards.begin(), shards.end(),
@@ -558,71 +447,45 @@ mergeShards(std::vector<ShardResult> shards, const EarlyStopRule *rule,
     const std::uint64_t total = shards.front().spec.campaignTrials;
     std::uint64_t next = 0;
     for (const auto &s : shards) {
-        if (s.spec.seed != seed) {
-            failMerge(error,
-                      formatString("seed mismatch: shard [%llu, %llu) "
-                                   "has seed %llu, expected %llu",
-                                   static_cast<unsigned long long>(
-                                       s.spec.lo),
-                                   static_cast<unsigned long long>(
-                                       s.spec.hi),
-                                   static_cast<unsigned long long>(
-                                       s.spec.seed),
-                                   static_cast<unsigned long long>(
-                                       seed)));
-            return std::nullopt;
-        }
-        if (s.spec.campaignTrials != total) {
-            failMerge(error, "campaign size mismatch between shards");
-            return std::nullopt;
-        }
-        if (s.spec.lo != next || s.spec.hi <= s.spec.lo) {
-            failMerge(error,
-                      formatString("shard ranges are not contiguous at "
-                                   "trial %llu (next shard covers "
-                                   "[%llu, %llu))",
-                                   static_cast<unsigned long long>(next),
-                                   static_cast<unsigned long long>(
-                                       s.spec.lo),
-                                   static_cast<unsigned long long>(
-                                       s.spec.hi)));
-            return std::nullopt;
-        }
-        if (s.trials != s.spec.width() ||
-            s.downtimeMin.count() != s.trials) {
-            failMerge(error,
-                      formatString("shard [%llu, %llu) is incomplete",
-                                   static_cast<unsigned long long>(
-                                       s.spec.lo),
-                                   static_cast<unsigned long long>(
-                                       s.spec.hi)));
+        std::string why;
+        if (s.spec.seed != seed)
+            why = formatString("seed mismatch: shard %s has seed %llu, "
+                               "expected %llu",
+                               rangeName(s.spec).c_str(),
+                               static_cast<unsigned long long>(
+                                   s.spec.seed),
+                               static_cast<unsigned long long>(seed));
+        else if (s.spec.campaignTrials != total)
+            why = "campaign size mismatch between shards";
+        else if (s.spec.lo != next || s.spec.hi <= s.spec.lo)
+            why = formatString("shard ranges are not contiguous at "
+                               "trial %llu (next shard covers %s)",
+                               static_cast<unsigned long long>(next),
+                               rangeName(s.spec).c_str());
+        else if (s.trials != s.spec.width() ||
+                 s.downtimeMin.count() != s.trials)
+            why = "shard " + rangeName(s.spec) + " is incomplete";
+        if (!why.empty()) {
+            fail(error, why);
             return std::nullopt;
         }
         next = s.spec.hi;
     }
     if (next != total) {
-        failMerge(error,
-                  formatString("shards cover only [0, %llu) of a "
-                               "%llu-trial campaign",
-                               static_cast<unsigned long long>(next),
-                               static_cast<unsigned long long>(total)));
+        fail(error,
+             formatString("shards cover only [0, %llu) of a "
+                          "%llu-trial campaign",
+                          static_cast<unsigned long long>(next),
+                          static_cast<unsigned long long>(total)));
         return std::nullopt;
     }
 
     MergedCampaign m;
     m.seed = seed;
-    m.trials = total;
     m.shardCount = shards.size();
     for (const auto &s : shards) {
-        m.downtimeMin.merge(s.downtimeMin);
-        m.lossesPerYear.merge(s.lossesPerYear);
-        m.meanPerf.merge(s.meanPerf);
-        m.batteryKwh.merge(s.batteryKwh);
-        m.worstGapMin.merge(s.worstGapMin);
-        m.lossFreeTrials += s.lossFreeTrials;
-        obs::mergeCounters(m.counters, s.counters);
-        obs::mergeHistograms(m.histograms, s.histograms);
-        m.incidents.merge(s.incidents);
+        m.CampaignAggregate::merge(s);
+        m.ObsDeltas::merge(s);
     }
     m.lossFree = wilsonInterval(m.lossFreeTrials, m.trials,
                                 rule ? rule->ciZ : 1.96);
@@ -642,40 +505,15 @@ writeMergedJson(std::ostream &os, const MergedCampaign &m)
     w.field("seed", m.seed);
     w.field("trials", m.trials);
     w.field("shard_count", m.shardCount);
-    const auto metric = [&w](const char *name, const MergingMetric &x) {
-        w.key(name).beginObject();
-        w.field("count", x.count());
-        w.field("mean", x.mean());
-        w.field("stddev", x.stddev());
-        w.field("min", x.min());
-        w.field("max", x.max());
-        w.field("p50", x.p50());
-        w.field("p95", x.p95());
-        w.field("p99", x.p99());
-        w.endObject();
-    };
-    metric("downtime_min", m.downtimeMin);
-    metric("losses_per_year", m.lossesPerYear);
-    metric("mean_perf", m.meanPerf);
-    metric("battery_kwh", m.batteryKwh);
-    metric("worst_gap_min", m.worstGapMin);
+    for (const auto &[name, field] : CampaignAggregate::kMetrics)
+        writeMetricJson(w, name, m.*field);
     w.key("loss_free").beginObject();
     w.field("trials", m.lossFreeTrials);
     w.field("fraction", m.lossFree.fraction);
     w.field("ci_lo", m.lossFree.lo);
     w.field("ci_hi", m.lossFree.hi);
     w.endObject();
-    if (!m.counters.empty()) {
-        w.key("counters").beginObject();
-        for (const auto &[name, v] : m.counters)
-            w.field(name, v);
-        w.endObject();
-    }
-    writeHistogramsObject(w, m.histograms);
-    if (!m.incidents.empty()) {
-        w.key("incidents");
-        m.incidents.writeJson(w);
-    }
+    writeObsDeltas(w, m);
     w.key("early_stop").beginObject();
     w.field("fired", m.earlyStop.fired);
     w.field("stop_trial", m.earlyStop.stopTrial);

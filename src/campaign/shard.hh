@@ -5,7 +5,8 @@
  * (on separate machines — `Rng::stream(seed, id)` needs no
  * cross-shard coordination), export a self-describing per-shard
  * aggregate file, and merge the shard files back into campaign
- * aggregates.
+ * aggregates. A campaign checkpoint is the shard file of its trials
+ * [0, K) (campaign/checkpoint.hh).
  *
  * The merge invariant (asserted by the `shard`-labeled ctests):
  * count, mean, min/max, variance-derived CI half-widths and the
@@ -17,16 +18,18 @@
  *
  * Early stop across shards: a campaign early-stop rule needs the
  * in-order trial prefix, which no single shard owns. Shards therefore
- * record cumulative checkpoints of the downtime sums at a configurable
+ * record cumulative prefixes of the downtime sums at a configurable
  * cadence; `evaluateEarlyStop` replays the merged in-order prefix at
- * those boundaries and reports where a single-machine coordinator
- * would have stopped. See docs/CAMPAIGN.md "Sharding".
+ * those boundaries and at each shard's end, and reports where a
+ * single-machine coordinator would have stopped. See docs/CAMPAIGN.md
+ * "Sharding".
  */
 
 #ifndef BPSIM_CAMPAIGN_SHARD_HH
 #define BPSIM_CAMPAIGN_SHARD_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -35,7 +38,6 @@
 
 #include "campaign/annual_campaign.hh"
 #include "campaign/exact_sum.hh"
-#include "campaign/tdigest.hh"
 #include "obs/histogram.hh"
 #include "obs/incident.hh"
 
@@ -43,11 +45,9 @@ namespace bpsim
 {
 
 /** Version stamped into every shard file; bump on format changes. */
-constexpr int kShardSchemaVersion = 1;
+constexpr int kShardSchemaVersion = 2;
 /** Schema identifier stamped into every shard file. */
 constexpr const char *kShardSchemaName = "bpsim.campaign.shard";
-/** Digest compression used for shard metrics (≲1% mid-rank error). */
-constexpr double kShardDigestCompression = 100.0;
 
 /** Identity of one shard within a larger campaign. */
 struct ShardSpec
@@ -73,52 +73,6 @@ ShardSpec shardOf(std::uint64_t seed, std::uint64_t trials,
                   std::uint64_t index, std::uint64_t count);
 
 /**
- * One mergeable campaign metric: integer count, ExactSum sums (for
- * bit-stable mean/variance under any partitioning), exact min/max,
- * and a t-digest for quantiles.
- */
-class MergingMetric
-{
-  public:
-    /** Add one per-trial observation. */
-    void add(double x);
-
-    /** Fold another metric in (exact except for digest placement). */
-    void merge(const MergingMetric &other);
-
-    std::uint64_t count() const { return n_; }
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-    /** sum/n via ExactSum: bit-identical for any shard partition. */
-    double mean() const;
-    /** Population variance from exact sums (clamped at 0). */
-    double variance() const;
-    double stddev() const;
-    /** z * stddev / sqrt(n), as MetricStats::meanCiHalfWidth. */
-    double meanCiHalfWidth(double z = 1.96) const;
-
-    double quantile(double q) const { return digest_.quantile(q); }
-    double p50() const { return quantile(0.50); }
-    double p95() const { return quantile(0.95); }
-    double p99() const { return quantile(0.99); }
-
-    const ExactSum &sum() const { return sum_; }
-    const ExactSum &sumSq() const { return sumSq_; }
-    const TDigest &digest() const { return digest_; }
-
-    /** Emit as a JSON object in value position. */
-    void writeJson(JsonWriter &w) const;
-    /** Rebuild from writeJson output. */
-    static MergingMetric fromJson(const JsonValue &v);
-
-  private:
-    std::uint64_t n_ = 0;
-    double min_ = 0.0, max_ = 0.0;
-    ExactSum sum_, sumSq_;
-    TDigest digest_{kShardDigestCompression};
-};
-
-/**
  * Cumulative prefix snapshot of the early-stop metric (downtime
  * min/yr) after the first @p trials trials *of this shard*.
  */
@@ -128,59 +82,48 @@ struct ShardCheckpoint
     ExactSum sum, sumSq;
 };
 
-/** Aggregates of one executed shard. */
-struct ShardResult
+/**
+ * Observability activity recorded while some trials ran: counter
+ * increments, histogram bucket counts and the incident forensics
+ * rollup. All three merge exactly, bit-identical for any partition or
+ * merge order, and all three are empty — and omitted from files — when
+ * observability is off, so uninstrumented files carry no obs members.
+ */
+struct ObsDeltas
+{
+    std::map<std::string, std::uint64_t> counters;
+    std::map<std::string, obs::HistogramSnapshot> histograms;
+    obs::IncidentAggregate incidents;
+
+    /** Add @p other's deltas (key-wise, bucket-wise, exactly). */
+    void merge(const ObsDeltas &other);
+};
+
+/**
+ * The one obs bracket: run @p run and add the obs deltas it recorded
+ * (registry counter/histogram snapshots subtracted, the trace tail
+ * folded by the incident engine) into @p into. The trace is bookmarked,
+ * not drained, so the caller's own export still sees the events. Must
+ * not overlap other obs-recording work: it reads the global registry.
+ */
+void recordObsDeltas(ObsDeltas &into, const std::function<void()> &run);
+
+/** Aggregates of one executed shard (or checkpoint). */
+struct ShardResult : CampaignAggregate, ObsDeltas
 {
     ShardSpec spec;
-    /** Trials executed (== spec.width()). */
-    std::uint64_t trials = 0;
 
-    /** @name Per-metric mergeable aggregates (in trial order) */
-    ///@{
-    MergingMetric downtimeMin;
-    MergingMetric lossesPerYear;
-    MergingMetric meanPerf;
-    MergingMetric batteryKwh;
-    MergingMetric worstGapMin;
-    ///@}
-
-    /** Trials with zero abrupt power-loss events. */
-    std::uint64_t lossFreeTrials = 0;
-
-    /** Early-stop bookkeeping (cumulative downtime prefixes). */
+    /**
+     * Early-stop bookkeeping: cumulative downtime prefixes at the
+     * checkpointEvery cadence. The shard end is implicit (its prefix
+     * is the downtimeMin aggregate itself), so a cadence point never
+     * lands on it.
+     */
     std::vector<ShardCheckpoint> checkpoints;
-
-    /**
-     * Observability counter deltas accumulated while this shard ran
-     * (obs::Registry names -> counts). Empty when observability is
-     * disabled — and then omitted from the shard file, so files from
-     * uninstrumented runs are byte-identical to schema v1 without
-     * counters. Merged key-wise (addition) by mergeShards().
-     */
-    std::map<std::string, std::uint64_t> counters;
-
-    /**
-     * Observability histogram deltas (sparse bucket counts) captured
-     * the same way as `counters` and with the same invariants: empty
-     * (and omitted from the file — schema v1 bytes unchanged) when
-     * observability is disabled; merged bucket-wise by mergeShards(),
-     * bit-identical for any shard partition or merge order.
-     */
-    std::map<std::string, obs::HistogramSnapshot> histograms;
-
-    /**
-     * Incident forensics rollup (downtime attribution by root cause)
-     * folded from this shard's trace by the incident engine. Same
-     * contract as `counters`/`histograms`: empty — and omitted from
-     * the shard file, keeping schema-v1 bytes — when observability is
-     * off; merged exactly (ExactSum) by mergeShards(), bit-identical
-     * for any shard partition or merge order.
-     */
-    obs::IncidentAggregate incidents;
 
     /** Build id of the producing binary (git describe). */
     std::string build;
-    /** Wall-clock time (informational, not merged). */
+    /** Wall-clock time (informational; not written to the file). */
     double wallSeconds = 0.0;
 };
 
@@ -190,8 +133,8 @@ struct ShardOptions
     /** Worker threads (0 = shared hardware-sized pool). */
     int threads = 0;
     /**
-     * Record a checkpoint every this many trials (0 = shard end
-     * only). Cadence 1 reproduces the single-machine early-stop rule
+     * Record a prefix every this many trials (0 = shard end only).
+     * Cadence 1 reproduces the single-machine early-stop rule
      * exactly; coarser cadences trade file size for stop granularity.
      */
     std::uint64_t checkpointEvery = 0;
@@ -208,7 +151,7 @@ struct ShardOptions
  * Run one shard of a campaign with a custom trial body. The body sees
  * GLOBAL trial ids (spec.lo .. spec.hi-1) and the same
  * Rng::stream(seed, id) streams as an unsharded run; results are
- * consumed in trial order, so the shard aggregates are bit-identical
+ * folded in trial order, so the shard aggregates are bit-identical
  * for any thread count. Shards never stop early — the stop rule is
  * the merging coordinator's call.
  */
@@ -221,13 +164,18 @@ ShardResult runAnnualShard(const AnnualCampaignSpec &scenario,
                            const ShardSpec &spec,
                            const ShardOptions &opts = {});
 
-/** Write the self-describing shard aggregate file (schema v1). */
+/**
+ * Write the self-describing shard file (schema v2): the exact state
+ * of every metric — t-digests unflushed — so a file read back and
+ * extended is bit-identical to a shard that never left memory.
+ */
 void writeShardJson(std::ostream &os, const ShardResult &shard);
 
 /**
- * Parse a shard aggregate file. Returns nullopt (with a reason in
- * @p error) on schema mismatch or malformed input rather than
- * asserting, so a coordinator can reject foreign files gracefully.
+ * Parse a shard file. Returns nullopt (with a reason in @p error) on
+ * a schema mismatch and on any malformed, truncated or inconsistent
+ * input — never asserts — so a coordinator or a disk cache can reject
+ * foreign and corrupt files gracefully.
  */
 std::optional<ShardResult> readShardJson(const std::string &text,
                                          std::string *error = nullptr);
@@ -236,73 +184,25 @@ std::optional<ShardResult> readShardJson(const std::string &text,
 std::optional<ShardResult> readShardFile(const std::string &path,
                                          std::string *error = nullptr);
 
-/** The campaign early-stop rule, as AnnualCampaignOptions. */
-struct EarlyStopRule
-{
-    std::uint64_t minTrials = 64;
-    double ciRelTol = 0.0;
-    double ciAbsTolMin = 0.0;
-    double ciZ = 1.96;
-
-    bool
-    enabled() const
-    {
-        return ciRelTol > 0.0 || ciAbsTolMin > 0.0;
-    }
-};
-
-/** Where the merged in-order prefix satisfies the stop rule. */
-struct EarlyStopDecision
-{
-    /** True when some evaluated prefix satisfied the rule. */
-    bool fired = false;
-    /** Trials a coordinator would have kept (prefix length). */
-    std::uint64_t stopTrial = 0;
-    /** CI half-width and mean at the stop point. */
-    double halfWidth = 0.0;
-    double mean = 0.0;
-};
-
 /**
  * Replay the early-stop rule over the merged in-order prefix of
  * @p shards (which must be sorted, contiguous from trial 0). The rule
- * is evaluated at every recorded checkpoint boundary; with
+ * is evaluated at every recorded prefix and at every shard end; with
  * checkpointEvery == 1 this is exactly the single-machine rule, and
  * the decision is bit-identical for any sharding of the same campaign
- * whose checkpoint boundaries align.
+ * whose prefix boundaries align.
  */
 EarlyStopDecision evaluateEarlyStop(const std::vector<ShardResult> &shards,
                                     const EarlyStopRule &rule);
 
 /** Merged aggregates of a complete campaign. */
-struct MergedCampaign
+struct MergedCampaign : CampaignAggregate, ObsDeltas
 {
     std::uint64_t seed = 0;
-    /** Campaign size N = sum of shard widths. */
-    std::uint64_t trials = 0;
     std::uint64_t shardCount = 0;
 
-    /** @name Merged per-metric aggregates */
-    ///@{
-    MergingMetric downtimeMin;
-    MergingMetric lossesPerYear;
-    MergingMetric meanPerf;
-    MergingMetric batteryKwh;
-    MergingMetric worstGapMin;
-    ///@}
-
-    std::uint64_t lossFreeTrials = 0;
     /** Loss-free fraction with its Wilson interval. */
     BinomialCi lossFree;
-
-    /** Key-wise sum of every shard's observability counters. */
-    std::map<std::string, std::uint64_t> counters;
-
-    /** Bucket-wise sum of every shard's observability histograms. */
-    std::map<std::string, obs::HistogramSnapshot> histograms;
-
-    /** Exact merge of every shard's incident forensics rollup. */
-    obs::IncidentAggregate incidents;
 
     /** Stop-rule replay (all-zero when no rule was supplied). */
     EarlyStopDecision earlyStop;

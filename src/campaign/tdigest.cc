@@ -15,6 +15,9 @@ namespace
 
 constexpr double kTwoPi = 6.283185307179586476925286766559;
 
+/** Largest compression fromStateJson accepts. */
+constexpr double kMaxStateCompression = 1e4;
+
 /** k1 scale function: k(q) = δ/(2π) · asin(2q − 1). */
 double
 scaleK(double q, double compression)
@@ -238,23 +241,20 @@ TDigest::fromStateJson(const JsonValue &v)
 {
     if (v.kind() != JsonValue::Kind::Object)
         return std::nullopt;
-    const JsonValue *compression = v.find("compression");
-    const JsonValue *count = v.find("count");
-    const JsonValue *min = v.find("min");
-    const JsonValue *max = v.find("max");
-    if (!compression || compression->kind() != JsonValue::Kind::Number ||
-        compression->asDouble() < 10.0 || !count ||
-        count->kind() != JsonValue::Kind::Number ||
-        count->asDouble() < 0 ||
-        count->asDouble() != std::floor(count->asDouble()) || !min ||
-        min->kind() != JsonValue::Kind::Number || !max ||
-        max->kind() != JsonValue::Kind::Number)
+    const auto compression = jsonFinite(v.find("compression"));
+    const auto count = jsonUint(v.find("count"));
+    const auto min = jsonFinite(v.find("min"));
+    const auto max = jsonFinite(v.find("max"));
+    // The upper bound keeps a corrupt compression from sizing the
+    // buffer reservation.
+    if (!compression || *compression < 10.0 ||
+        *compression > kMaxStateCompression || !count || !min || !max)
         return std::nullopt;
 
-    TDigest d(compression->asDouble());
-    d.count_ = count->asUint();
-    d.min_ = min->asDouble();
-    d.max_ = max->asDouble();
+    TDigest d(*compression);
+    d.count_ = *count;
+    d.min_ = *min;
+    d.max_ = *max;
     // Both lists are restored verbatim (order included): the buffer's
     // insertion order feeds the next flush's stable sort, so it is
     // part of the bit-exactness contract.

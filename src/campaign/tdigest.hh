@@ -2,9 +2,8 @@
  * @file
  * Mergeable streaming quantile sketch (t-digest, Dunning & Ertl).
  *
- * The P² sketch tracks one quantile in O(1) memory but two P² states
- * cannot be combined, which blocks distributed campaigns. A t-digest
- * keeps a size-bounded list of (mean, weight) centroids whose widths
+ * The quantile sketch behind every campaign metric's p50/p95/p99
+ * (campaign/online_stats.hh). A t-digest keeps a size-bounded list of (mean, weight) centroids whose widths
  * follow the k1 scale function — fine near the tails, coarse in the
  * middle — so any two digests merge into a digest of the union with
  * bounded rank error. Campaign shards each build one digest per
@@ -91,9 +90,9 @@ class TDigest
      * writeJson() flushes first, which is right for *merging* but
      * changes the future clustering trajectory: a digest flushed at
      * trial K and then fed trials K..M-1 clusters differently from
-     * one fed 0..M-1 straight through. Campaign checkpoints that must
-     * resume bit-identically (campaign/checkpoint.hh) therefore
-     * serialize the raw internal state — the flushed centroids AND
+     * one fed 0..M-1 straight through. Shard files and checkpoints
+     * (campaign/shard.hh), which must resume and merge bit-identically,
+     * therefore serialize the raw internal state — the flushed centroids AND
      * the pending buffer, verbatim, with no flush.
      */
     ///@{

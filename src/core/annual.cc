@@ -1,6 +1,5 @@
 #include "core/annual.hh"
 
-#include "campaign/runner.hh"
 #include "obs/obs.hh"
 #include "power/utility.hh"
 #include "sim/logging.hh"
@@ -151,46 +150,6 @@ AnnualSimulator::runSectionedYear(
             s.hierarchy().meter().batteryEnergyJ(0, kYear));
     }
     return r;
-}
-
-AnnualSummary
-AnnualSimulator::runYears(const WorkloadProfile &profile, int n_servers,
-                          const TechniqueSpec &technique,
-                          const BackupConfigSpec &config, int years,
-                          std::uint64_t seed) const
-{
-    BPSIM_ASSERT(years >= 1, "need at least one year");
-    const auto gen = OutageTraceGenerator::figure1();
-    AnnualSummary summary;
-    summary.seed = seed;
-    summary.firstYear = 0;
-    summary.years = static_cast<std::uint64_t>(years);
-    int loss_free = 0;
-    // One independent trial per year, fanned out across the campaign
-    // pool; each trial builds its own Simulator and draws from
-    // Rng::stream(seed, y), and the consumer below runs in year order,
-    // so the summary does not depend on the thread count.
-    runCampaign<AnnualResult>(
-        static_cast<std::uint64_t>(years),
-        [&](std::uint64_t y) {
-            const obs::TrialScope trace_scope(y);
-            Rng year_rng = Rng::stream(seed, y);
-            const auto events = gen.generate(year_rng, kYear);
-            return runYear(profile, n_servers, technique, config, events);
-        },
-        [&](std::uint64_t, AnnualResult &&r) {
-            summary.downtimeMin.add(r.downtimeMin);
-            summary.lossesPerYear.add(static_cast<double>(r.losses));
-            summary.meanPerf.add(r.meanPerf);
-            summary.batteryKwh.add(r.batteryKwh);
-            summary.worstGapMin.add(r.worstGapMin);
-            if (r.losses == 0)
-                ++loss_free;
-            return true;
-        });
-    summary.lossFreeYears =
-        static_cast<double>(loss_free) / static_cast<double>(years);
-    return summary;
 }
 
 } // namespace bpsim

@@ -17,7 +17,6 @@
 #include "core/analyzer.hh"
 #include "core/datacenter.hh"
 #include "outage/trace.hh"
-#include "sim/stats.hh"
 
 namespace bpsim
 {
@@ -39,31 +38,6 @@ struct AnnualResult
     double worstGapMin = 0.0;
 };
 
-/** Aggregate over many simulated years. */
-struct AnnualSummary
-{
-    SummaryStats downtimeMin;
-    SummaryStats lossesPerYear;
-    SummaryStats meanPerf;
-    SummaryStats batteryKwh;
-    SummaryStats worstGapMin;
-    /** Fraction of years with zero abrupt power-loss events. */
-    double lossFreeYears = 0.0;
-
-    /**
-     * @name Provenance
-     * The (seed, trial range) that produced these aggregates: year y
-     * drew from Rng::stream(seed, y) for y in [firstYear, firstYear +
-     * years). Stamped so every exported result is traceable to its
-     * randomness.
-     */
-    ///@{
-    std::uint64_t seed = 0;
-    std::uint64_t firstYear = 0;
-    std::uint64_t years = 0;
-    ///@}
-};
-
 /** Multi-outage, year-scale simulation driver. */
 class AnnualSimulator
 {
@@ -79,18 +53,6 @@ class AnnualSimulator
                          const TechniqueSpec &technique,
                          const BackupConfigSpec &config,
                          const std::vector<OutageEvent> &events) const;
-
-    /**
-     * Simulate @p years independent years with traces drawn from the
-     * Figure 1 statistics. Year y draws its randomness from
-     * Rng::stream(seed, y) and the years are fanned out across the
-     * campaign thread pool; aggregation is in year order, so the
-     * summary is bit-identical for any thread count.
-     */
-    AnnualSummary runYears(const WorkloadProfile &profile, int n_servers,
-                           const TechniqueSpec &technique,
-                           const BackupConfigSpec &config, int years,
-                           std::uint64_t seed) const;
 
     /**
      * One year against a *sectioned* datacenter (Section 7): every

@@ -371,7 +371,7 @@ CampaignService::computeWhatIf(const WhatIfRequest &request,
         // stored — a smaller-budget request must never clobber a
         // deeper trajectory another request paid for.
         if (!from ||
-            ex.checkpoint.summary.trials > from->summary.trials) {
+            ex.checkpoint.trials > from->trials) {
             std::ostringstream ck;
             writeCheckpointJson(ck, ex.checkpoint);
             std::string text = ck.str();

@@ -345,14 +345,14 @@ executeWhatIf(const WhatIfRequest &req, const CampaignCheckpoint *from)
     // the same binary. Anything else is silently ignored — resume is
     // an accelerator, never a behavior change.
     const bool compatible = from != nullptr &&
-                            from->summary.seed == req.opts.seed &&
-                            from->summary.trials >= 1 &&
-                            from->summary.trials <= req.opts.maxTrials &&
+                            from->spec.seed == req.opts.seed &&
+                            from->trials >= 1 &&
+                            from->trials <= req.opts.maxTrials &&
                             from->build == buildId();
 
     WhatIfExecution out;
     out.resumed = compatible;
-    out.startTrial = compatible ? from->summary.trials : 0;
+    out.startTrial = compatible ? from->trials : 0;
     const ResumableOutcome run = runResumableCampaign(
         req.spec, req.opts, compatible ? from : nullptr);
     out.executedTrials = run.executedTrials;

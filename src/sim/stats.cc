@@ -39,20 +39,6 @@ SummaryStats::stddev() const
     return std::sqrt(variance());
 }
 
-SummaryStats
-SummaryStats::restore(std::size_t count, double mean, double m2,
-                      double min, double max, double sum)
-{
-    SummaryStats s;
-    s.n = count;
-    s.mean_ = mean;
-    s.m2 = m2;
-    s.min_ = min;
-    s.max_ = max;
-    s.sum_ = sum;
-    return s;
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), counts(bins, 0)
 {

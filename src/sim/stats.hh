@@ -45,24 +45,6 @@ class SummaryStats
     /** Sum of all observations. */
     double sum() const { return sum_; }
 
-    /**
-     * @name Checkpoint state access
-     * The exact internal state, for campaign checkpoints that must
-     * resume a stream bit-identically (see campaign/checkpoint.hh):
-     * the raw Welford accumulators, not the empty-state-masked
-     * readouts above.
-     */
-    ///@{
-    /** Σ(x - mean)² accumulator (the Welford M2 term). */
-    double m2Raw() const { return m2; }
-    /** Raw min/max slots (0 until the first add, like the state). */
-    double minRaw() const { return min_; }
-    double maxRaw() const { return max_; }
-    /** Rebuild a collector mid-stream from checkpointed state. */
-    static SummaryStats restore(std::size_t count, double mean, double m2,
-                                double min, double max, double sum);
-    ///@}
-
   private:
     std::size_t n = 0;
     double mean_ = 0.0;

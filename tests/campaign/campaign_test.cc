@@ -16,6 +16,7 @@
 
 #include "campaign/annual_campaign.hh"
 #include "campaign/runner.hh"
+#include "outage/trace.hh"
 #include "sim/logging.hh"
 
 namespace bpsim
@@ -108,13 +109,13 @@ std::vector<double>
 fingerprint(const AnnualCampaignSummary &s)
 {
     std::vector<double> v;
-    const auto metric = [&v](const MetricStats &m) {
-        v.push_back(static_cast<double>(m.summary().count()));
-        v.push_back(m.summary().mean());
-        v.push_back(m.summary().variance());
-        v.push_back(m.summary().min());
-        v.push_back(m.summary().max());
-        v.push_back(m.summary().sum());
+    const auto metric = [&v](const MergingMetric &m) {
+        v.push_back(static_cast<double>(m.count()));
+        v.push_back(m.mean());
+        v.push_back(m.variance());
+        v.push_back(m.min());
+        v.push_back(m.max());
+        v.push_back(m.sum().value());
         v.push_back(m.p50());
         v.push_back(m.p95());
         v.push_back(m.p99());
@@ -175,8 +176,7 @@ TEST(AnnualCampaign, DifferentSeedsDiverge)
     const auto a = runAnnualCampaign(testSpec(), opts);
     opts.seed = 2;
     const auto b = runAnnualCampaign(testSpec(), opts);
-    EXPECT_NE(a.downtimeMin.summary().sum(),
-              b.downtimeMin.summary().sum());
+    EXPECT_NE(a.downtimeMin.sum().value(), b.downtimeMin.sum().value());
 }
 
 TEST(AnnualCampaign, EarlyStopRespectsMinTrialsAndTolerance)
@@ -203,9 +203,9 @@ TEST(AnnualCampaign, EarlyStopRespectsMinTrialsAndTolerance)
 
 TEST(AnnualCampaign, MatchesAnnualSimulatorSummary)
 {
-    // The re-platformed AnnualSimulator::runYears and the campaign
-    // engine draw identical per-year streams, so their Welford
-    // moments agree exactly.
+    // The campaign engine draws year y from Rng::stream(seed, y) and
+    // runs it through AnnualSimulator::runYear, so its aggregates
+    // equal a straight in-order fold of those per-year results.
     const auto spec = testSpec();
     AnnualCampaignOptions opts;
     opts.maxTrials = 12;
@@ -213,17 +213,21 @@ TEST(AnnualCampaign, MatchesAnnualSimulatorSummary)
     opts.threads = 2;
     const auto campaign = runAnnualCampaign(spec, opts);
 
-    AnnualSimulator sim;
-    const auto years =
-        sim.runYears(spec.profile, spec.nServers, spec.technique,
-                     spec.config, 12, 77);
-    EXPECT_EQ(campaign.downtimeMin.summary().mean(),
-              years.downtimeMin.mean());
-    EXPECT_EQ(campaign.batteryKwh.summary().sum(),
-              years.batteryKwh.sum());
-    EXPECT_EQ(campaign.worstGapMin.summary().max(),
-              years.worstGapMin.max());
-    EXPECT_EQ(campaign.lossFree.fraction, years.lossFreeYears);
+    const auto gen = OutageTraceGenerator::figure1();
+    const AnnualSimulator sim;
+    CampaignAggregate years;
+    for (std::uint64_t y = 0; y < 12; ++y) {
+        Rng rng = Rng::stream(77, y);
+        years.fold(sim.runYear(spec.profile, spec.nServers,
+                               spec.technique, spec.config,
+                               gen.generate(rng, 365LL * 24 * kHour)));
+    }
+    EXPECT_EQ(campaign.downtimeMin.mean(), years.downtimeMin.mean());
+    EXPECT_EQ(campaign.batteryKwh.sum().value(),
+              years.batteryKwh.sum().value());
+    EXPECT_EQ(campaign.worstGapMin.max(), years.worstGapMin.max());
+    EXPECT_EQ(campaign.lossFreeTrials, years.lossFreeTrials);
+    EXPECT_EQ(campaign.meanPerf.p99(), years.meanPerf.p99());
 }
 
 TEST(AnnualCampaign, CustomTrialBodies)
@@ -243,8 +247,8 @@ TEST(AnnualCampaign, CustomTrialBodies)
     EXPECT_EQ(s.trials, 32u);
     EXPECT_EQ(s.lossFreeTrials, 24u);
     EXPECT_DOUBLE_EQ(s.lossFree.fraction, 0.75);
-    EXPECT_GT(s.downtimeMin.summary().mean(), 0.0);
-    EXPECT_LT(s.downtimeMin.summary().mean(), 1.0);
+    EXPECT_GT(s.downtimeMin.mean(), 0.0);
+    EXPECT_LT(s.downtimeMin.mean(), 1.0);
 }
 
 // A longer campaign on 1 thread and on at least 4 is bit-identical.

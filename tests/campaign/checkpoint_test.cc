@@ -2,12 +2,13 @@
  * @file
  * Campaign checkpoint tests: extending a checkpointed K-trial campaign
  * to M trials must be bit-identical to running M trials fresh — at the
- * summary-JSON layer, at the serialized-checkpoint layer (P² marker
- * state, t-digest centroids AND unflushed buffer, obs deltas), across
+ * summary-JSON layer, at the serialized-checkpoint layer (exact sums,
+ * t-digest centroids AND unflushed buffer, obs deltas), across
  * mismatched batch sizes and thread counts on either side of the
  * boundary, and through the early-stop rule including the masked
- * budget-boundary stop. The defensive reader must turn every malformed
- * document into nullopt, never an assert.
+ * budget-boundary stop. A checkpoint is the shard file of its trials
+ * [0, K) and merges like one. The defensive reader must turn every
+ * malformed document into nullopt, never an assert.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "campaign/annual_campaign.hh"
 #include "campaign/checkpoint.hh"
 #include "campaign/json.hh"
+#include "campaign/shard.hh"
 #include "core/backup_config.hh"
 #include "obs/obs.hh"
 #include "workload/profile.hh"
@@ -249,17 +251,65 @@ TEST(CampaignCheckpointReader, RejectsMalformedDocumentsWithoutAsserting)
         s.replace(pos, from.size(), to);
         return s;
     };
-    EXPECT_FALSE(
-        readCheckpointJson(corrupt("\"schema_version\":1", // version bump
-                                   "\"schema_version\":999")));
+    const std::string version =
+        "\"schema_version\":" + std::to_string(kShardSchemaVersion);
+    EXPECT_FALSE(readCheckpointJson(
+        corrupt(version, "\"schema_version\":999"))); // version bump
     EXPECT_FALSE(readCheckpointJson(
         corrupt("\"trials\":16", "\"trials\":16.5"))); // non-integral
     EXPECT_FALSE(readCheckpointJson(
         corrupt("\"trials\":16", "\"trials\":0"))); // empty checkpoint
     EXPECT_FALSE(readCheckpointJson(
-        corrupt("\"m2\":", "\"m2\":-1,\"x\":"))); // negative variance
+        corrupt("\"count\":16", "\"count\":15"))); // metric/trials skew
     EXPECT_FALSE(readCheckpointJson(
-        corrupt("\"stopped_early\":false", "\"stopped_early\":0")));
+        corrupt("\"sign\":1", "\"sign\":2"))); // sum out of range
+    EXPECT_FALSE(readCheckpointJson(
+        corrupt("\"trial_lo\":0", "\"trial_lo\":false"))); // mistyped
+
+    // A shard that does not start at trial 0 is no checkpoint.
+    std::ostringstream tail;
+    writeShardJson(tail, runAnnualShard(spec, shardOf(kSeed, 32, 1, 2)));
+    std::string err;
+    ASSERT_TRUE(readShardJson(tail.str(), &err)) << err;
+    EXPECT_FALSE(readCheckpointJson(tail.str(), &err));
+    EXPECT_NE(err.find("trial 0"), std::string::npos) << err;
+}
+
+TEST(CampaignCheckpoint, MergesWithATailShardLikeAnyShard)
+{
+    // The checkpoint of trials [0, K) is the shard file of [0, K):
+    // merged with a shard [K, N), it reproduces a one-shard N-trial
+    // run bit for bit in every exact aggregate.
+    const auto spec = testSpec();
+    constexpr std::uint64_t kK = 24, kN = 56;
+    const auto base = runResumableCampaign(spec, fixedOpts(kK), nullptr);
+    std::string err;
+    auto head = readCheckpointJson(checkpointJson(base.checkpoint), &err);
+    ASSERT_TRUE(head) << err;
+    // Same trials, relabelled as the first of two shards of N.
+    head->spec = {kSeed, kN, 0, kK, 0, 2};
+    ShardResult tail = runAnnualShard(spec, {kSeed, kN, kK, kN, 1, 2});
+
+    const auto merged = mergeShards({*head, tail}, nullptr, &err);
+    ASSERT_TRUE(merged) << err;
+    const auto whole =
+        mergeShards({runAnnualShard(spec, shardOf(kSeed, kN, 0, 1))},
+                    nullptr, &err);
+    ASSERT_TRUE(whole) << err;
+    EXPECT_EQ(merged->trials, kN);
+    EXPECT_EQ(merged->lossFreeTrials, whole->lossFreeTrials);
+    EXPECT_EQ(merged->lossFree.fraction, whole->lossFree.fraction);
+    EXPECT_EQ(merged->lossFree.lo, whole->lossFree.lo);
+    EXPECT_EQ(merged->lossFree.hi, whole->lossFree.hi);
+    for (const auto &[name, field] : CampaignAggregate::kMetrics) {
+        const MergingMetric &a = *merged.*field;
+        const MergingMetric &b = *whole.*field;
+        EXPECT_EQ(a.count(), b.count()) << name;
+        EXPECT_EQ(a.mean(), b.mean()) << name;
+        EXPECT_EQ(a.stddev(), b.stddev()) << name;
+        EXPECT_EQ(a.min(), b.min()) << name;
+        EXPECT_EQ(a.max(), b.max()) << name;
+    }
 }
 
 } // namespace

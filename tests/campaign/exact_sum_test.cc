@@ -10,6 +10,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "campaign/exact_sum.hh"
@@ -160,6 +161,101 @@ TEST(ExactSum, JsonRoundTripIsBitwise)
         back.writeJson(w);
     }
     EXPECT_EQ(os.str(), os2.str());
+}
+
+/** Canonical serialized form: equal exact sums print identically. */
+std::string
+canonical(const ExactSum &s)
+{
+    std::ostringstream os;
+    JsonWriter w(os);
+    s.writeJson(w);
+    return os.str();
+}
+
+TEST(ExactSum, SparseFarApartLimbsWithCancellation)
+{
+    // Limbs hundreds of positions apart; the top ones cancel and leave
+    // a residue at the bottom, of either sign, which the touched-limb
+    // range must still find.
+    ExactSum s;
+    s.add(1e300);
+    s.add(-1e-300);
+    s.add(-1e300);
+    EXPECT_EQ(s.value(), -1e-300);
+    s.add(2e-300);
+    EXPECT_EQ(s.value(), 1e-300);
+    s.add(5e-324);
+    s.add(-1e-300);
+    EXPECT_EQ(s.value(), 5e-324);
+    EXPECT_FALSE(s.zero());
+
+    // A borrow across a run of zero limbs: 2^600 - 2^-600.
+    ExactSum b;
+    b.add(std::ldexp(1.0, 600));
+    b.add(-std::ldexp(1.0, -600));
+    ExactSum direct;
+    direct.add(-std::ldexp(1.0, -600));
+    direct.add(std::ldexp(1.0, 600));
+    EXPECT_EQ(canonical(b), canonical(direct));
+    EXPECT_EQ(b.value(), std::ldexp(1.0, 600));
+
+    // Merging accumulators with disjoint ranges equals adding the
+    // surviving terms directly, digit for digit.
+    ExactSum hi, lo;
+    hi.add(1e200);
+    lo.add(-1e200);
+    lo.add(3.0);
+    lo.add(1e-200);
+    hi.merge(lo);
+    ExactSum want;
+    want.add(1e-200);
+    want.add(3.0);
+    EXPECT_EQ(canonical(hi), canonical(want));
+    EXPECT_EQ(hi.value(), 3.0);
+
+    // A cancelled bottom limb leaves the canonical digits unchanged.
+    ExactSum gap;
+    gap.add(1e-300);
+    gap.add(1.0);
+    gap.add(-1e-300);
+    ExactSum one;
+    one.add(1.0);
+    EXPECT_EQ(canonical(gap), canonical(one));
+
+    // Carries out of the highest limb an add touched: 2^28 - 1 fills
+    // the top of its three limbs, so 1000 of them carry one higher.
+    ExactSum carry;
+    for (int i = 0; i < 1000; ++i)
+        carry.add(268435455.0);
+    EXPECT_EQ(carry.value(), 268435455000.0);
+}
+
+TEST(ExactSum, FromJsonThenMoreAddsMatchesNeverSerialized)
+{
+    Rng rng(11);
+    std::vector<double> xs;
+    for (int i = 0; i < 400; ++i)
+        xs.push_back((rng.nextDouble() - 0.5) *
+                     std::ldexp(1.0, i % 200 - 100));
+    ExactSum straight, head;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        straight.add(xs[i]);
+        if (i < xs.size() / 2)
+            head.add(xs[i]);
+    }
+    const auto parsed = parseJson(canonical(head));
+    ASSERT_TRUE(parsed.has_value());
+    ExactSum resumed = ExactSum::fromJson(*parsed);
+    for (std::size_t i = xs.size() / 2; i < xs.size(); ++i)
+        resumed.add(xs[i]);
+    EXPECT_EQ(resumed.value(), straight.value());
+    EXPECT_EQ(canonical(resumed), canonical(straight));
+
+    // A value far below anything read back must extend the range.
+    resumed.add(5e-324);
+    straight.add(5e-324);
+    EXPECT_EQ(canonical(resumed), canonical(straight));
 }
 
 TEST(ExactSum, ZeroQuery)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the online campaign statistics: P² quantile sketch,
- * Wilson binomial intervals, and the per-metric aggregate.
+ * Tests for the online campaign statistics: the per-metric aggregate
+ * (moments, quantile readouts) and Wilson binomial intervals.
  */
 
 #include <gtest/gtest.h>
@@ -18,58 +18,57 @@ namespace bpsim
 namespace
 {
 
-TEST(P2Quantile, ExactForSmallSamples)
+TEST(MergingMetric, QuantilesExactForSmallSamples)
 {
-    P2Quantile q(0.5);
-    q.add(3.0);
-    EXPECT_DOUBLE_EQ(q.value(), 3.0);
-    q.add(1.0);
-    EXPECT_DOUBLE_EQ(q.value(), 2.0); // interpolated median of {1, 3}
-    q.add(2.0);
-    EXPECT_DOUBLE_EQ(q.value(), 2.0);
+    MergingMetric m;
+    m.add(3.0);
+    EXPECT_DOUBLE_EQ(m.p50(), 3.0);
+    m.add(1.0);
+    EXPECT_DOUBLE_EQ(m.p50(), 2.0); // interpolated median of {1, 3}
+    m.add(2.0);
+    EXPECT_DOUBLE_EQ(m.p50(), 2.0);
 }
 
-TEST(P2Quantile, MedianOfUniformStream)
+TEST(MergingMetric, MedianOfUniformStream)
 {
-    P2Quantile q(0.5);
+    MergingMetric m;
     Rng rng(42);
     for (int i = 0; i < 100000; ++i)
-        q.add(rng.nextDouble());
-    EXPECT_NEAR(q.value(), 0.5, 0.01);
+        m.add(rng.nextDouble());
+    EXPECT_NEAR(m.p50(), 0.5, 0.01);
 }
 
-TEST(P2Quantile, TailQuantilesOfUniformStream)
+TEST(MergingMetric, TailQuantilesOfUniformStream)
 {
-    P2Quantile q95(0.95), q99(0.99);
+    MergingMetric m;
     Rng rng(7);
-    for (int i = 0; i < 100000; ++i) {
-        const double x = rng.nextDouble();
-        q95.add(x);
-        q99.add(x);
-    }
-    EXPECT_NEAR(q95.value(), 0.95, 0.01);
-    EXPECT_NEAR(q99.value(), 0.99, 0.01);
+    for (int i = 0; i < 100000; ++i)
+        m.add(rng.nextDouble());
+    EXPECT_NEAR(m.p95(), 0.95, 0.01);
+    EXPECT_NEAR(m.p99(), 0.99, 0.01);
 }
 
-TEST(P2Quantile, TracksExponentialTail)
+TEST(MergingMetric, TracksExponentialTail)
 {
     // Heavy-tailed input: P95 of Exp(mean=10) is -10 ln(0.05) ~= 30.
-    P2Quantile q(0.95);
+    MergingMetric m;
     Rng rng(11);
     for (int i = 0; i < 200000; ++i)
-        q.add(rng.exponential(10.0));
-    EXPECT_NEAR(q.value(), 29.96, 1.0);
+        m.add(rng.exponential(10.0));
+    EXPECT_NEAR(m.p95(), 29.96, 1.0);
 }
 
-TEST(P2Quantile, DeterministicForSameSequence)
+TEST(MergingMetric, DeterministicForSameSequence)
 {
-    P2Quantile a(0.95), b(0.95);
+    MergingMetric a, b;
     Rng ra(3), rb(3);
     for (int i = 0; i < 10000; ++i) {
         a.add(ra.nextDouble());
         b.add(rb.nextDouble());
     }
-    EXPECT_EQ(a.value(), b.value()); // bitwise
+    EXPECT_EQ(a.p95(), b.p95()); // bitwise
+    EXPECT_EQ(a.mean(), b.mean());
+    EXPECT_EQ(a.stddev(), b.stddev());
 }
 
 TEST(Wilson, BracketsTheObservedFraction)
@@ -109,29 +108,29 @@ TEST(Wilson, NarrowsWithMoreTrials)
     EXPECT_LT(large.hi - large.lo, small.hi - small.lo);
 }
 
-TEST(MetricStats, CombinesMomentsAndQuantiles)
+TEST(MergingMetric, CombinesMomentsAndQuantiles)
 {
-    MetricStats m;
+    MergingMetric m;
     for (int i = 1; i <= 1000; ++i)
         m.add(static_cast<double>(i));
-    EXPECT_EQ(m.summary().count(), 1000u);
-    EXPECT_DOUBLE_EQ(m.summary().mean(), 500.5);
-    EXPECT_DOUBLE_EQ(m.summary().min(), 1.0);
-    EXPECT_DOUBLE_EQ(m.summary().max(), 1000.0);
+    EXPECT_EQ(m.count(), 1000u);
+    EXPECT_DOUBLE_EQ(m.mean(), 500.5);
+    EXPECT_DOUBLE_EQ(m.min(), 1.0);
+    EXPECT_DOUBLE_EQ(m.max(), 1000.0);
     EXPECT_NEAR(m.p50(), 500.5, 15.0);
     EXPECT_NEAR(m.p95(), 950.0, 15.0);
     EXPECT_NEAR(m.p99(), 990.0, 15.0);
 }
 
-TEST(MetricStats, MeanCiHalfWidthMatchesFormula)
+TEST(MergingMetric, MeanCiHalfWidthMatchesFormula)
 {
-    MetricStats m;
+    MergingMetric m;
     for (int i = 0; i < 100; ++i)
         m.add(i % 2 == 0 ? 0.0 : 1.0);
-    const double expect = 1.96 * m.summary().stddev() / 10.0;
+    const double expect = 1.96 * m.stddev() / 10.0;
     EXPECT_DOUBLE_EQ(m.meanCiHalfWidth(), expect);
 
-    MetricStats one;
+    MergingMetric one;
     one.add(5.0);
     EXPECT_DOUBLE_EQ(one.meanCiHalfWidth(), 0.0);
 }

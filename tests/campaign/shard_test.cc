@@ -254,22 +254,15 @@ goldenShard()
     c0.trials = 1;
     c0.sum.add(d0);
     c0.sumSq.add(d0 * d0);
-    ShardCheckpoint c1;
-    c1.trials = 2;
-    c1.sum.add(d0);
-    c1.sum.add(d1);
-    c1.sumSq.add(d0 * d0);
-    c1.sumSq.add(d1 * d1);
-    r.checkpoints = {c0, c1};
+    r.checkpoints = {c0};
     r.build = "golden-fixture";
-    r.wallSeconds = 0.25;
     return r;
 }
 
 TEST(ShardIo, GoldenFileIsByteStable)
 {
     const std::string path =
-        std::string(BPSIM_FIXTURE_DIR) + "/shard_v1.json";
+        std::string(BPSIM_FIXTURE_DIR) + "/shard_v2.json";
     std::ostringstream os;
     writeShardJson(os, goldenShard());
 
@@ -298,11 +291,10 @@ TEST(ShardIo, GoldenFileIsByteStable)
 
 TEST(ShardIo, LegacyFileWithoutIncidentsParsesAndMerges)
 {
-    // Shard files written before the incident-forensics rollup carry
-    // no "incidents" key. They must keep their schema-v1 bytes (the
-    // golden test above pins that), parse back with an empty
-    // aggregate, and merge cleanly with newer shards that do carry
-    // forensics.
+    // Shard files from uninstrumented runs carry no "incidents" key.
+    // They keep the plain schema-v2 bytes (the golden test above pins
+    // that), parse back with an empty aggregate, and merge cleanly
+    // with shards that do carry forensics.
     std::ostringstream os;
     writeShardJson(os, goldenShard());
     const std::string text = os.str();
@@ -363,12 +355,46 @@ TEST(ShardIo, RejectsForeignSchema)
 
     // Future schema version.
     std::string bumped = text;
-    const std::string ver = "\"schema_version\":1";
+    const std::string ver =
+        "\"schema_version\":" + std::to_string(kShardSchemaVersion);
     const auto ver_at = bumped.find(ver);
     ASSERT_NE(ver_at, std::string::npos);
     bumped.replace(ver_at, ver.size(), "\"schema_version\":999");
     EXPECT_FALSE(readShardJson(bumped, &err).has_value());
     EXPECT_NE(err.find("version"), std::string::npos);
+}
+
+TEST(ShardIo, RejectsTruncatedAndIncompleteFilesWithoutAsserting)
+{
+    ShardOptions opts;
+    opts.checkpointEvery = 4;
+    ShardResult shard =
+        runAnnualShard(testSpec(), shardOf(kSeed, kTrials, 1, 4), opts);
+    shard.counters["campaign.trials"] = shard.trials;
+    shard.histograms["campaign.trial_downtime_min"].buckets[3] = 2;
+    std::ostringstream os;
+    writeShardJson(os, shard);
+    const std::string good = os.str();
+    ASSERT_TRUE(readShardJson(good).has_value());
+
+    // Every 8-byte truncation: a parse error or a missing member,
+    // reported, never an abort.
+    for (std::size_t len = 0; len < good.size(); len += 8) {
+        std::string err;
+        EXPECT_FALSE(readShardJson(good.substr(0, len), &err).has_value())
+            << len;
+        EXPECT_FALSE(err.empty()) << len;
+    }
+
+    // Parseable documents that lack members.
+    for (const std::string &doc :
+         {"{\"schema\":\"bpsim.campaign.shard\",\"schema_version\":" +
+              std::to_string(kShardSchemaVersion) + ",\"seed\":1}",
+          std::string("[]"), std::string("7")}) {
+        std::string err;
+        EXPECT_FALSE(readShardJson(doc, &err).has_value()) << doc;
+        EXPECT_FALSE(err.empty()) << doc;
+    }
 }
 
 TEST(ShardMerge, RejectsInconsistentShardSets)

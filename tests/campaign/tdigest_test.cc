@@ -83,7 +83,7 @@ sampleBimodal(std::uint64_t seed, int n)
  * budget of the exact order statistics. The k1 scale function bounds
  * rank error by O(q(1-q)/delta); `budget` is the allowed |rank(est) -
  * q| at the checked quantiles, generous enough to be robust across
- * sample shapes yet far tighter than P² can promise.
+ * sample shapes.
  */
 void
 expectRankAccurate(const TDigest &td, std::vector<double> sorted,

@@ -1,10 +1,12 @@
 /**
  * @file
- * Tests for the annual (multi-outage) availability simulator.
+ * Tests for the annual (multi-outage) availability simulator, one
+ * year at a time and as a campaign of years.
  */
 
 #include <gtest/gtest.h>
 
+#include "campaign/annual_campaign.hh"
 #include "core/annual.hh"
 
 namespace bpsim
@@ -81,15 +83,29 @@ TEST(Annual, SleepDefenseBoundsDowntimeToOutages)
     EXPECT_NEAR(r.downtimeMin, 72.0 + 3.0 * 8.0 / 60.0, 1.0);
 }
 
+/** @p years Figure 1 years of one scenario, as a campaign. */
+AnnualCampaignSummary
+campaignOf(const TechniqueSpec &technique, const BackupConfigSpec &config,
+           std::uint64_t years, std::uint64_t seed)
+{
+    AnnualCampaignSpec spec;
+    spec.profile = specJbbProfile();
+    spec.nServers = 4;
+    spec.technique = technique;
+    spec.config = config;
+    AnnualCampaignOptions opts;
+    opts.maxTrials = years;
+    opts.seed = seed;
+    return runAnnualCampaign(spec, opts);
+}
+
 TEST(Annual, SummaryAggregatesAcrossYears)
 {
-    AnnualSimulator sim;
     TechniqueSpec sleep{TechniqueKind::Sleep, 0, 0, 0, true};
-    const auto s = sim.runYears(specJbbProfile(), 4, sleep,
-                                largeEUpsConfig(), 20, 99);
+    const auto s = campaignOf(sleep, largeEUpsConfig(), 20, 99);
     EXPECT_EQ(s.downtimeMin.count(), 20u);
     EXPECT_GT(s.meanPerf.mean(), 0.99); // outages are rare
-    EXPECT_DOUBLE_EQ(s.lossFreeYears, 1.0); // sleep never crashes
+    EXPECT_DOUBLE_EQ(s.lossFree.fraction, 1.0); // sleep never crashes
     // Battery energy and worst-gap reach the summary too.
     EXPECT_EQ(s.batteryKwh.count(), 20u);
     EXPECT_EQ(s.worstGapMin.count(), 20u);
@@ -100,26 +116,20 @@ TEST(Annual, SummaryAggregatesAcrossYears)
 
 TEST(Annual, DeterministicGivenSeed)
 {
-    AnnualSimulator sim;
     TechniqueSpec throttle{TechniqueKind::Throttle, 5, 0, 0, false};
-    const auto a = sim.runYears(specJbbProfile(), 4, throttle,
-                                largeEUpsConfig(), 5, 7);
-    const auto b = sim.runYears(specJbbProfile(), 4, throttle,
-                                largeEUpsConfig(), 5, 7);
+    const auto a = campaignOf(throttle, largeEUpsConfig(), 5, 7);
+    const auto b = campaignOf(throttle, largeEUpsConfig(), 5, 7);
     EXPECT_DOUBLE_EQ(a.downtimeMin.mean(), b.downtimeMin.mean());
     EXPECT_DOUBLE_EQ(a.meanPerf.mean(), b.meanPerf.mean());
 }
 
 TEST(Annual, MoreBackupNeverHurtsAvailability)
 {
-    AnnualSimulator sim;
     TechniqueSpec throttle{TechniqueKind::Throttle, 6, 0, 0, false};
-    const auto small = sim.runYears(specJbbProfile(), 4, throttle,
-                                    noDgConfig(), 10, 5);
-    const auto large = sim.runYears(specJbbProfile(), 4, throttle,
-                                    largeEUpsConfig(), 10, 5);
+    const auto small = campaignOf(throttle, noDgConfig(), 10, 5);
+    const auto large = campaignOf(throttle, largeEUpsConfig(), 10, 5);
     EXPECT_LE(large.downtimeMin.mean(), small.downtimeMin.mean() + 1e-6);
-    EXPECT_GE(large.lossFreeYears, small.lossFreeYears);
+    EXPECT_GE(large.lossFree.fraction, small.lossFree.fraction);
 }
 
 TEST(Annual, RejectsOutagesBeyondTheYear)

@@ -179,7 +179,7 @@ TEST(IncrementalTest, EarlyStoppedCheckpointExtendsAsAPureReplay)
     req1.opts.minTrials = 8;
     req1.opts.ciRelTol = 0.5;
     const WhatIfExecution base = executeWhatIf(req1);
-    ASSERT_LT(base.checkpoint.summary.trials, 400u);
+    ASSERT_LT(base.checkpoint.trials, 400u);
 
     WhatIfRequest req2 = makeRequest("NoUPS", "throttle_sleep", 800, 1, 1);
     req2.opts.minTrials = 8;
