@@ -123,8 +123,8 @@ BENCHMARK(BM_MergingMetricAdd)->Arg(1000)->Arg(100000);
  * times. items_per_second IS the single-thread trials/sec figure the
  * observability acceptance gate tracks: with tracing disabled (the
  * default, BM_AnnualTrial) the obs hooks must cost < 2 % vs. the
- * pre-obs baseline; BM_AnnualTrialTraced measures the enabled cost of
- * recording + draining every power/technique event.
+ * pre-obs baseline; BM_AnnualTrialTraced measures the cost of
+ * recording every power/technique event into a TrialRecord.
  */
 void
 annualTrialLoop(benchmark::State &state, bool traced)
@@ -138,21 +138,19 @@ annualTrialLoop(benchmark::State &state, bool traced)
 
     const auto gen = OutageTraceGenerator::figure1();
     const AnnualSimulator sim;
-    obs::setEnabled(traced);
     std::uint64_t id = 0;
     for (auto _ : state) {
-        Rng rng = Rng::stream(42, id++ % 64);
+        const std::uint64_t trial = id++ % 64;
+        Rng rng = Rng::stream(42, trial);
         const auto events = gen.generate(rng, kYear);
+        obs::TrialRecord record;
+        const obs::TrialScope scope(trial, traced ? &record : nullptr);
         const AnnualResult r = sim.runYear(spec.profile, spec.nServers,
                                            spec.technique, spec.config,
                                            events);
         benchmark::DoNotOptimize(r.downtimeMin);
-        if (traced)
-            benchmark::DoNotOptimize(
-                obs::TraceSink::instance().drain().size());
+        benchmark::DoNotOptimize(record.events.size());
     }
-    obs::setEnabled(false);
-    obs::TraceSink::instance().clear();
     state.SetItemsProcessed(state.iterations());
 }
 

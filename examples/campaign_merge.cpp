@@ -110,8 +110,10 @@ runShard(int argc, char **argv)
     }
     if (count == 0 || index >= count || trials == 0)
         return usage();
+    obs::Context evidence;
+    evidence.keepEvents = !trace_path.empty();
     if (!trace_path.empty() || !metrics_path.empty())
-        obs::setEnabled(true);
+        opts.obs = &evidence;
 
     const ShardSpec spec = shardOf(seed, trials, index, count);
     std::fprintf(stderr,
@@ -140,7 +142,7 @@ runShard(int argc, char **argv)
                           {"shard", std::to_string(index) + "/" +
                                         std::to_string(count)}};
         std::ofstream os(trace_path);
-        writeChromeTrace(os, obs::TraceSink::instance().drain(), topts);
+        writeChromeTrace(os, evidence.events(), topts);
         std::fprintf(stderr, "[wrote trace to %s]\n", trace_path.c_str());
     }
     if (!metrics_path.empty()) {

@@ -123,7 +123,6 @@ main(int argc, char **argv)
     service::ServiceOptions opts;
     std::string port_file;
     std::string request_trace;
-    double sample_seconds = 0.0;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const char *val = i + 1 < argc ? argv[i + 1] : nullptr;
@@ -168,7 +167,9 @@ main(int argc, char **argv)
             opts.limits.maxTrials = std::strtoull(val, nullptr, 10);
             ++i;
         } else if (arg == "--sample-seconds" && val) {
-            sample_seconds = std::atof(val);
+            const double v = std::atof(val);
+            if (v > 0.0)
+                opts.alertSampleCadence = fromSeconds(v);
             ++i;
         } else if (arg == "--access-log" && val) {
             opts.reqobs.accessLogPath = val;
@@ -256,9 +257,6 @@ main(int argc, char **argv)
             return usage(stderr);
         }
     }
-    if (sample_seconds > 0.0)
-        obs::setSampleCadence(fromSeconds(sample_seconds));
-
     // Fail fast on an unwritable access-log path: a long-lived server
     // silently dropping its audit trail is worse than not starting.
     if (!opts.reqobs.accessLogPath.empty()) {

@@ -12,10 +12,10 @@
  *     +-10% or +-1 min/yr, whichever is looser);
  *   - progress callbacks, streamed as trials complete in order;
  *   - writeCampaignJson() / writeCampaignCsv() exports per scenario;
- *   - per-scenario observability deltas (counters + histograms
- *     snapshot/subtracted around each campaign, so one scenario's
- *     metrics never bleed into the next) and, with --sample, signal
- *     time series rendered as Perfetto counter tracks.
+ *   - per-scenario observability, each campaign recording into its
+ *     own obs::Context (so one scenario's metrics never bleed into the
+ *     next) and, with --sample, signal time series rendered as
+ *     Perfetto counter tracks.
  *
  * Build and run:
  *     cmake -B build -G Ninja && cmake --build build
@@ -32,6 +32,7 @@
 
 #include "campaign/annual_campaign.hh"
 #include "campaign/json.hh"
+#include "obs/context.hh"
 #include "obs/obs.hh"
 #include "obs/report.hh"
 #include "sim/logging.hh"
@@ -58,21 +59,19 @@ standingDefense(const BackupConfigSpec &config)
 constexpr std::size_t kSamplePointsPerChannel = 512;
 
 /**
- * Trials per scenario whose signal lanes reach the trace. The sweep
- * runs hundreds of trials per scenario; exporting a counter lane for
- * every (trial, signal) pair would produce a multi-gigabyte trace no
- * viewer can load, and a handful of representative years is what a
- * human actually inspects.
+ * Trials per scenario that sample signals (the Context's sample
+ * window). The sweep runs hundreds of trials per scenario, and a year
+ * at hourly cadence is ~8760 samples per signal. Exporting a counter
+ * lane for every (trial, signal) pair would produce a multi-gigabyte
+ * trace no viewer can load, and a handful of representative years is
+ * what a human actually inspects.
  */
 constexpr std::uint64_t kSampledTrialsPerConfig = 4;
 
 /**
  * Write one scenario's observability delta — the counters and
- * histogram buckets accumulated by THIS campaign only, obtained by
- * snapshotting the process-wide registry around the run and
- * subtracting. Without the subtraction, scenario N's file would
- * contain the running totals of scenarios 0..N (the cross-config
- * bleed this example used to have).
+ * histogram buckets its campaign's Context folded, so scenario N's
+ * file holds scenario N's trials and nothing else.
  */
 void
 writeScenarioMetrics(const std::string &path, const std::string &config,
@@ -102,25 +101,6 @@ writeScenarioMetrics(const std::string &path, const std::string &config,
     w.endObject();
     w.endObject();
     os << '\n';
-}
-
-/**
- * Drain the sample sink, keeping only the first
- * kSampledTrialsPerConfig trials. The filter bounds sweep memory: a
- * year at hourly cadence is ~8760 samples per signal per trial, and
- * the sweep runs hundreds of trials.
- */
-std::vector<obs::SignalSample>
-drainScenarioSamples()
-{
-    auto rows = obs::TimeSeriesSink::instance().drain();
-    rows.erase(std::remove_if(rows.begin(), rows.end(),
-                              [](const obs::SignalSample &r) {
-                                  return r.trial >=
-                                         kSampledTrialsPerConfig;
-                              }),
-               rows.end());
-    return rows;
 }
 
 /**
@@ -226,13 +206,10 @@ main(int argc, char **argv)
     // hourly cadence when a report was asked for without --sample.
     if (!report_path.empty() && sample_seconds <= 0.0)
         sample_seconds = 3600.0;
-    // Arm event recording only when an export was requested; the
-    // instrumentation costs nothing while disabled.
-    if (!trace_path.empty() || !metrics_path.empty() ||
-        !report_path.empty() || sample_seconds > 0.0)
-        obs::setEnabled(true);
-    if (sample_seconds > 0.0)
-        obs::setSampleCadence(fromSeconds(sample_seconds));
+    // Record trials only when an export was requested; an unrecorded
+    // campaign pays nothing for the instrumentation.
+    const bool record = !trace_path.empty() || !metrics_path.empty() ||
+                        !report_path.empty() || sample_seconds > 0.0;
     std::vector<obs::TraceEvent> all_events;
     std::vector<obs::SignalSample> all_samples;
     std::uint64_t trial_base = 0;
@@ -276,12 +253,13 @@ main(int argc, char **argv)
                          p.stopped ? " (early stop)" : "");
         };
 
-        // Registry snapshots bracketing the run: the difference is
-        // exactly this scenario's contribution.
-        const auto counters_before =
-            obs::Registry::global().counterSnapshot();
-        const auto histograms_before =
-            obs::Registry::global().histogramSnapshot();
+        obs::Context evidence;
+        evidence.sampleCadence =
+            sample_seconds > 0.0 ? fromSeconds(sample_seconds) : 0;
+        evidence.sampleTrials = kSampledTrialsPerConfig;
+        evidence.keepEvents = !trace_path.empty() || !report_path.empty();
+        if (record)
+            opts.obs = &evidence;
 
         const auto s = runAnnualCampaign(spec, opts);
         std::fprintf(stderr, "%*s\r", 60, ""); // clear the progress line
@@ -303,19 +281,14 @@ main(int argc, char **argv)
         std::ofstream csv(stem + ".csv");
         writeCampaignCsv(csv, s);
 
-        if (obs::enabled()) {
-            writeScenarioMetrics(
-                stem + "_metrics.json", config.name,
-                obs::subtractCounters(
-                    obs::Registry::global().counterSnapshot(),
-                    counters_before),
-                obs::subtractHistograms(
-                    obs::Registry::global().histogramSnapshot(),
-                    histograms_before));
+        if (record) {
+            writeScenarioMetrics(stem + "_metrics.json", config.name,
+                                 evidence.deltas().counters,
+                                 evidence.deltas().histograms);
 
-            auto events = obs::TraceSink::instance().drain();
-            const auto store = obs::TimeSeriesStore::fromSamples(
-                drainScenarioSamples());
+            std::vector<obs::TraceEvent> events = evidence.events();
+            const auto store =
+                obs::TimeSeriesStore::fromSamples(evidence.samples());
 
             // Forensics run on the raw events (trial id == simulated
             // year), before the combined-trace id shift below.

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "campaign/json.hh"
+#include "obs/context.hh"
 #include "obs/obs.hh"
 #include "outage/trace.hh"
 #include "sim/logging.hh"
@@ -21,9 +22,9 @@ constexpr Time kYear = 365LL * 24 * kHour;
 /**
  * Wall-clock + loss-free tail of a campaign run. @p executed is the
  * number of trials this *run* simulated — only the extension width on
- * a resume — so the obs "campaign.trials" counter stays additive: a
- * checkpointed run plus its extension reports exactly what one fresh
- * run of the full budget would.
+ * a resume — so the "campaign.trials" counter of a recording campaign
+ * stays additive: a checkpointed run plus its extension reports
+ * exactly what one fresh run of the full budget would.
  */
 void
 finalizeCampaign(AnnualCampaignSummary &out,
@@ -39,7 +40,7 @@ finalizeCampaign(AnnualCampaignSummary &out,
                            ? static_cast<double>(executed) /
                                  out.wallSeconds
                            : 0.0;
-    if (BPSIM_OBS_ON()) {
+    if (opts.obs) {
         obs::Registry::global().counter("campaign.trials").add(executed);
         obs::Registry::global()
             .gauge("campaign.trials_per_sec")
@@ -69,7 +70,8 @@ runTrials(AnnualCampaignSummary &out, const TrialSource &source,
                  static_cast<unsigned long long>(out.trials),
                  static_cast<unsigned long long>(opts.maxTrials));
     const auto t0 = std::chrono::steady_clock::now();
-    const auto run_timer = obs::scope("campaign.run");
+    const obs::ScopedTimer run_timer(
+        opts.obs ? &obs::Registry::global().timer("campaign.run") : nullptr);
     const std::uint64_t start = out.trials;
     out.planned = opts.maxTrials;
     out.seed = opts.seed;
@@ -77,7 +79,7 @@ runTrials(AnnualCampaignSummary &out, const TrialSource &source,
     bool stopped = start > 0 && stopRuleHolds(opts, out);
     if (!stopped) {
         stopped = foldTrials(
-            out, source, start, opts.maxTrials, opts.threads,
+            out, source, start, opts.maxTrials, opts.threads, opts.obs,
             [&](std::uint64_t id) {
                 const bool more = !stopRuleHolds(opts, out);
                 if (opts.progress && opts.progressEvery != 0 &&
@@ -129,12 +131,6 @@ CampaignAggregate::fold(const AnnualResult &r)
     meanPerf.add(r.meanPerf);
     batteryKwh.add(r.batteryKwh);
     worstGapMin.add(r.worstGapMin);
-    // Per-trial distribution metrics (folds run in trial order, so
-    // the bucket counts are thread-count invariant).
-    BPSIM_OBS_HISTOGRAM_RECORD("campaign.trial_downtime_min",
-                               r.downtimeMin);
-    BPSIM_OBS_HISTOGRAM_RECORD("campaign.trial_worst_gap_min",
-                               r.worstGapMin);
     if (r.losses == 0)
         ++lossFreeTrials;
     ++trials;
@@ -172,16 +168,18 @@ TrialSource::TrialSource(AnnualTrialFn trial, std::uint64_t seed)
 }
 
 void
-TrialSource::run(std::uint64_t lo, std::uint64_t hi, AnnualResult *out) const
+TrialSource::run(std::uint64_t lo, std::uint64_t hi, AnnualResult *out,
+                 obs::TrialRecord *records) const
 {
     if (kernel_) {
-        kernel_->runBatch(seed_, lo, hi, out);
+        kernel_->runBatch(seed_, lo, hi, out, records);
         return;
     }
     for (std::uint64_t id = lo; id < hi; ++id) {
-        // Tag every trace event with the GLOBAL trial id: (trial,
-        // seq) is the thread-count-invariant trace sort key.
-        const obs::TrialScope trace_scope(id);
+        // Tag every event with the GLOBAL trial id: (trial, seq) is
+        // the thread-count-invariant trace order.
+        const obs::TrialScope trial_scope(
+            id, records ? &records[id - lo] : nullptr);
         Rng rng = Rng::stream(seed_, id);
         out[id - lo] = trial_(id, rng);
     }
@@ -190,26 +188,52 @@ TrialSource::run(std::uint64_t lo, std::uint64_t hi, AnnualResult *out) const
 bool
 foldTrials(CampaignAggregate &agg, const TrialSource &source,
            std::uint64_t lo, std::uint64_t hi, int threads,
+           obs::Context *obs,
            const std::function<bool(std::uint64_t)> &after)
 {
+    /** One unit of pool work; records stay empty unless recording. */
+    struct Chunk
+    {
+        std::vector<AnnualResult> results;
+        std::vector<obs::TrialRecord> records;
+        std::vector<obs::IncidentReport> forensics;
+    };
     const std::uint64_t batch = source.batch();
     const std::uint64_t chunks = (hi - lo + batch - 1) / batch;
-    const std::function<std::vector<AnnualResult>(std::uint64_t)> body =
+    const std::function<Chunk(std::uint64_t)> body =
         [&](std::uint64_t chunk) {
             const std::uint64_t first = lo + chunk * batch;
             const std::uint64_t last = std::min(first + batch, hi);
-            std::vector<AnnualResult> results(
-                static_cast<std::size_t>(last - first));
-            source.run(first, last, results.data());
-            return results;
+            const auto n = static_cast<std::size_t>(last - first);
+            Chunk c;
+            c.results.resize(n);
+            if (!obs) {
+                source.run(first, last, c.results.data());
+                return c;
+            }
+            c.records.reserve(n);
+            for (std::uint64_t id = first; id < last; ++id)
+                c.records.push_back(obs->open(id - lo));
+            source.run(first, last, c.results.data(), c.records.data());
+            c.forensics.reserve(n);
+            for (std::size_t i = 0; i < n; ++i) {
+                // Per-trial distribution metrics.
+                c.records[i].recordHistogram("campaign.trial_downtime_min",
+                                             c.results[i].downtimeMin);
+                c.records[i].recordHistogram("campaign.trial_worst_gap_min",
+                                             c.results[i].worstGapMin);
+                c.forensics.push_back(obs->reduce(c.records[i]));
+            }
+            return c;
         };
     bool stopped = false;
-    const std::function<bool(std::uint64_t, std::vector<AnnualResult> &&)>
-        consume = [&](std::uint64_t chunk,
-                      std::vector<AnnualResult> &&results) {
+    const std::function<bool(std::uint64_t, Chunk &&)> consume =
+        [&](std::uint64_t chunk, Chunk &&c) {
             const std::uint64_t first = lo + chunk * batch;
-            for (std::size_t i = 0; i < results.size(); ++i) {
-                agg.fold(results[i]);
+            for (std::size_t i = 0; i < c.results.size(); ++i) {
+                agg.fold(c.results[i]);
+                if (obs)
+                    obs->fold(std::move(c.records[i]), c.forensics[i]);
                 if (!after(first + i)) {
                     stopped = true;
                     return false;
@@ -219,7 +243,7 @@ foldTrials(CampaignAggregate &agg, const TrialSource &source,
         };
     CampaignOptions copts;
     copts.threads = threads;
-    runCampaign<std::vector<AnnualResult>>(chunks, body, consume, copts);
+    runCampaign<Chunk>(chunks, body, consume, copts);
     return stopped;
 }
 

@@ -35,6 +35,12 @@
 namespace bpsim
 {
 
+namespace obs
+{
+class Context;
+struct TrialRecord;
+} // namespace obs
+
 /** The scenario one annual campaign holds fixed across its trials. */
 struct AnnualCampaignSpec
 {
@@ -115,6 +121,12 @@ struct AnnualCampaignOptions : EarlyStopRule
      * throughput knob. Ignored by the custom-trial-body overload.
      */
     std::uint64_t batch = 0;
+
+    /**
+     * Record this campaign's trials into this context (null = record
+     * nothing). Recording trials run scalar, one TrialScope each.
+     */
+    obs::Context *obs = nullptr;
 };
 
 /**
@@ -202,8 +214,12 @@ class TrialSource
     /** Trials per unit of pool work. */
     std::uint64_t batch() const { return batch_; }
 
-    /** Results of trials [lo, hi) into out[0 .. hi-lo). */
-    void run(std::uint64_t lo, std::uint64_t hi, AnnualResult *out) const;
+    /**
+     * Results of trials [lo, hi) into out[0 .. hi-lo). When
+     * @p records is non-null, trial lo+i records into records[i].
+     */
+    void run(std::uint64_t lo, std::uint64_t hi, AnnualResult *out,
+             obs::TrialRecord *records = nullptr) const;
 
   private:
     std::uint64_t seed_;
@@ -215,12 +231,14 @@ class TrialSource
 /**
  * The one in-order driver: fold trials [lo, hi) of @p source into
  * @p agg, strictly in trial-id order, on @p threads workers (0 = the
- * shared pool). After each fold, @p after(id) runs with the global
- * trial id; returning false stops the fold there. Returns true when
- * @p after stopped it.
+ * shared pool). When @p obs is non-null every trial records, and its
+ * record folds into @p obs right beside its result. After each fold,
+ * @p after(id) runs with the global trial id; returning false stops
+ * the fold there. Returns true when @p after stopped it.
  */
 bool foldTrials(CampaignAggregate &agg, const TrialSource &source,
                 std::uint64_t lo, std::uint64_t hi, int threads,
+                obs::Context *obs,
                 const std::function<bool(std::uint64_t)> &after);
 
 /** Run a campaign with a custom per-trial body. */

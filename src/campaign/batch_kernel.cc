@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/trace.hh"
+#include "obs/record.hh"
 #include "power/power_hierarchy.hh"
 #include "power/ups.hh"
 #include "server/server_model.hh"
@@ -300,7 +300,8 @@ BatchAnnualKernel::runFastTrace(
 
 void
 BatchAnnualKernel::runBatch(std::uint64_t seed, std::uint64_t lo,
-                            std::uint64_t hi, AnnualResult *out) const
+                            std::uint64_t hi, AnnualResult *out,
+                            obs::TrialRecord *records) const
 {
     BPSIM_ASSERT(hi >= lo, "bad batch range");
     const std::size_t n = static_cast<std::size_t>(hi - lo);
@@ -316,15 +317,16 @@ BatchAnnualKernel::runBatch(std::uint64_t seed, std::uint64_t lo,
 
     // Stage 2: split lanes. Tracing hooks inside the event loop (SoC
     // deciles, outage spans, trial-end markers) only exist on the
-    // scalar path, so an observed run must take it wholesale.
-    const bool fast = eligible_ && !obs::enabled();
+    // scalar path, so a recording batch must take it wholesale.
+    const bool fast = eligible_ && records == nullptr;
     std::vector<std::size_t> fast_lanes;
     fast_lanes.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         if (fast && traceEligible(traces[i])) {
             fast_lanes.push_back(i);
         } else {
-            const obs::TrialScope scope(lo + i);
+            const obs::TrialScope scope(lo + i,
+                                        records ? &records[i] : nullptr);
             out[i] = scalar_.runYear(profile_, nServers_, technique_,
                                      config_, traces[i]);
         }

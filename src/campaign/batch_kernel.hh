@@ -5,7 +5,7 @@
  * The scalar AnnualSimulator spins up a full discrete-event world per
  * trial (~2k events/year); under a campaign that is the hot path. For
  * the common campaign shapes — no diesel generator, None/Throttle
- * standing technique, offline UPS, observability disabled — a simulated
+ * standing technique, offline UPS, no trial recording — a simulated
  * year reduces to a short closed-form episode replay per outage:
  * ride-through gap, Peukert discharge, recharge split at the recovery
  * milestones, and piecewise-constant perf/availability series. The
@@ -17,8 +17,8 @@
  * byte-identical too.
  *
  * Anything outside the fast path's envelope — DG configs, other
- * techniques, online UPS placement, obs enabled, or a trace whose
- * outages overlap a recovery window — falls back to the scalar
+ * techniques, online UPS placement, a recording campaign, or a trace
+ * whose outages overlap a recovery window — falls back to the scalar
  * simulator lane by lane, preserving bit-exactness trivially. The
  * scalar path stays the reference; the kernel is an optimization that
  * must prove itself against it (tests/campaign/batch_equivalence_test).
@@ -41,6 +41,11 @@
 namespace bpsim
 {
 
+namespace obs
+{
+struct TrialRecord;
+} // namespace obs
+
 /**
  * One campaign scenario compiled for batched execution. Construction
  * resolves every per-trial constant (loads, perf levels, ride-through
@@ -57,7 +62,7 @@ class BatchAnnualKernel
 
     /**
      * True when the scenario shape is inside the fast path's envelope.
-     * Individual lanes can still fall back (trace shape, obs enabled);
+     * Individual lanes can still fall back (trace shape, recording);
      * false means every lane uses the scalar simulator.
      */
     bool fastPathEligible() const { return eligible_; }
@@ -73,10 +78,13 @@ class BatchAnnualKernel
     /**
      * Simulate campaign trials [lo, hi): trial t draws its trace from
      * Rng::stream(seed, t) and out[t - lo] receives its AnnualResult,
-     * bit-identical to the scalar path for every trial.
+     * bit-identical to the scalar path for every trial. When
+     * @p records is non-null every lane runs scalar, trial t recording
+     * into records[t - lo].
      */
     void runBatch(std::uint64_t seed, std::uint64_t lo, std::uint64_t hi,
-                  AnnualResult *out) const;
+                  AnnualResult *out,
+                  obs::TrialRecord *records = nullptr) const;
 
     /**
      * Replay one eligible trace closed-form (fast lane only; callers

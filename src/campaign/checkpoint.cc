@@ -1,6 +1,7 @@
 #include "campaign/checkpoint.hh"
 
 #include "campaign/json.hh"
+#include "obs/context.hh"
 #include "sim/logging.hh"
 
 namespace bpsim
@@ -31,9 +32,9 @@ runResumableCampaign(const AnnualCampaignSpec &spec,
     CampaignCheckpoint &ck = out.checkpoint;
     if (from)
         ck = *from;
-    recordObsDeltas(ck, [&] {
-        out.summary = resumeAnnualCampaign(spec, opts, ck);
-    });
+    out.summary = resumeAnnualCampaign(spec, opts, ck);
+    if (opts.obs)
+        static_cast<obs::ObsDeltas &>(ck).merge(opts.obs->deltas());
     out.executedTrials = out.summary.trials - ck.trials;
     static_cast<CampaignAggregate &>(ck) = out.summary;
     ck.spec = shardOf(opts.seed, ck.trials, 0, 1);

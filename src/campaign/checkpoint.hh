@@ -55,12 +55,11 @@ struct ResumableOutcome
 /**
  * Run the scenario campaign — fresh when @p from is null, otherwise
  * extending the checkpointed state through trials
- * [from->trials, opts.maxTrials) — and capture the obs deltas of the
- * whole logical campaign into the returned checkpoint (this run's
- * deltas merged with @p from's). @p from must come from the same
- * (spec, seed, stop rule) with from->trials <= opts.maxTrials. Must
- * not run concurrently with other obs-recording work (see
- * recordObsDeltas).
+ * [from->trials, opts.maxTrials). When opts.obs records the run, the
+ * returned checkpoint carries the obs deltas of the whole logical
+ * campaign (this run's folded trials merged with @p from's). @p from
+ * must come from the same (spec, seed, stop rule) with
+ * from->trials <= opts.maxTrials.
  */
 ResumableOutcome runResumableCampaign(const AnnualCampaignSpec &spec,
                                       const AnnualCampaignOptions &opts,

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "campaign/json.hh"
-#include "obs/obs.hh"
 #include "sim/logging.hh"
 
 namespace bpsim
@@ -35,7 +34,7 @@ rangeName(const ShardSpec &s)
 
 /** Emit the obs members, each omitted when empty. */
 void
-writeObsDeltas(JsonWriter &w, const ObsDeltas &d)
+writeObsDeltas(JsonWriter &w, const obs::ObsDeltas &d)
 {
     if (!d.counters.empty()) {
         w.key("counters").beginObject();
@@ -111,7 +110,8 @@ validIncidentJson(const JsonValue &v)
 
 /** Read the optional obs members of @p doc into @p out. */
 bool
-readObsDeltas(const JsonValue &doc, ObsDeltas &out, std::string *error)
+readObsDeltas(const JsonValue &doc, obs::ObsDeltas &out,
+              std::string *error)
 {
     if (const JsonValue *cs = doc.find("counters")) {
         if (cs->kind() != JsonValue::Kind::Object)
@@ -217,34 +217,6 @@ readShardBody(const JsonValue &doc, ShardResult &out, std::string *error)
 
 } // namespace
 
-void
-ObsDeltas::merge(const ObsDeltas &other)
-{
-    obs::mergeCounters(counters, other.counters);
-    obs::mergeHistograms(histograms, other.histograms);
-    incidents.merge(other.incidents);
-}
-
-void
-recordObsDeltas(ObsDeltas &into, const std::function<void()> &run)
-{
-    const auto counters_before = obs::Registry::global().counterSnapshot();
-    const auto histograms_before =
-        obs::Registry::global().histogramSnapshot();
-    const auto trace_mark = obs::TraceSink::instance().mark();
-    run();
-    ObsDeltas d;
-    d.counters = obs::subtractCounters(
-        obs::Registry::global().counterSnapshot(), counters_before);
-    d.histograms = obs::subtractHistograms(
-        obs::Registry::global().histogramSnapshot(), histograms_before);
-    if (obs::enabled())
-        d.incidents = obs::buildIncidentReport(
-                          obs::TraceSink::instance().eventsSince(trace_mark))
-                          .aggregate;
-    into.merge(d);
-}
-
 ShardSpec
 shardOf(std::uint64_t seed, std::uint64_t trials, std::uint64_t index,
         std::uint64_t count)
@@ -282,17 +254,17 @@ runShard(const TrialSource &source, const ShardSpec &spec,
     ShardResult out;
     out.spec = spec;
     out.build = buildId();
-    recordObsDeltas(out, [&] {
-        foldTrials(out, source, spec.lo, spec.hi, opts.threads,
-                   [&](std::uint64_t id) {
-                       if (opts.checkpointEvery != 0 && id + 1 < spec.hi &&
-                           out.trials % opts.checkpointEvery == 0)
-                           out.checkpoints.push_back(
-                               {out.trials, out.downtimeMin.sum(),
-                                out.downtimeMin.sumSq()});
-                       return true; // shards never stop early
-                   });
-    });
+    foldTrials(out, source, spec.lo, spec.hi, opts.threads, opts.obs,
+               [&](std::uint64_t id) {
+                   if (opts.checkpointEvery != 0 && id + 1 < spec.hi &&
+                       out.trials % opts.checkpointEvery == 0)
+                       out.checkpoints.push_back(
+                           {out.trials, out.downtimeMin.sum(),
+                            out.downtimeMin.sumSq()});
+                   return true; // shards never stop early
+               });
+    if (opts.obs)
+        static_cast<obs::ObsDeltas &>(out) = opts.obs->deltas();
     const std::chrono::duration<double> wall =
         std::chrono::steady_clock::now() - t0;
     out.wallSeconds = wall.count();
@@ -485,7 +457,7 @@ mergeShards(std::vector<ShardResult> shards, const EarlyStopRule *rule,
     m.shardCount = shards.size();
     for (const auto &s : shards) {
         m.CampaignAggregate::merge(s);
-        m.ObsDeltas::merge(s);
+        m.obs::ObsDeltas::merge(s);
     }
     m.lossFree = wilsonInterval(m.lossFreeTrials, m.trials,
                                 rule ? rule->ciZ : 1.96);

@@ -38,8 +38,7 @@
 
 #include "campaign/annual_campaign.hh"
 #include "campaign/exact_sum.hh"
-#include "obs/histogram.hh"
-#include "obs/incident.hh"
+#include "obs/context.hh"
 
 namespace bpsim
 {
@@ -82,34 +81,8 @@ struct ShardCheckpoint
     ExactSum sum, sumSq;
 };
 
-/**
- * Observability activity recorded while some trials ran: counter
- * increments, histogram bucket counts and the incident forensics
- * rollup. All three merge exactly, bit-identical for any partition or
- * merge order, and all three are empty — and omitted from files — when
- * observability is off, so uninstrumented files carry no obs members.
- */
-struct ObsDeltas
-{
-    std::map<std::string, std::uint64_t> counters;
-    std::map<std::string, obs::HistogramSnapshot> histograms;
-    obs::IncidentAggregate incidents;
-
-    /** Add @p other's deltas (key-wise, bucket-wise, exactly). */
-    void merge(const ObsDeltas &other);
-};
-
-/**
- * The one obs bracket: run @p run and add the obs deltas it recorded
- * (registry counter/histogram snapshots subtracted, the trace tail
- * folded by the incident engine) into @p into. The trace is bookmarked,
- * not drained, so the caller's own export still sees the events. Must
- * not overlap other obs-recording work: it reads the global registry.
- */
-void recordObsDeltas(ObsDeltas &into, const std::function<void()> &run);
-
 /** Aggregates of one executed shard (or checkpoint). */
-struct ShardResult : CampaignAggregate, ObsDeltas
+struct ShardResult : CampaignAggregate, obs::ObsDeltas
 {
     ShardSpec spec;
 
@@ -145,6 +118,11 @@ struct ShardOptions
      * batch size. Ignored by the custom-trial-body overload.
      */
     std::uint64_t batch = 0;
+    /**
+     * Record the shard's trials into this context (null = record
+     * nothing); its deltas become the shard file's obs members.
+     */
+    obs::Context *obs = nullptr;
 };
 
 /**
@@ -196,7 +174,7 @@ EarlyStopDecision evaluateEarlyStop(const std::vector<ShardResult> &shards,
                                     const EarlyStopRule &rule);
 
 /** Merged aggregates of a complete campaign. */
-struct MergedCampaign : CampaignAggregate, ObsDeltas
+struct MergedCampaign : CampaignAggregate, obs::ObsDeltas
 {
     std::uint64_t seed = 0;
     std::uint64_t shardCount = 0;

@@ -46,6 +46,11 @@ AnnualSimulator::runYear(const WorkloadProfile &profile, int n_servers,
     std::function<void()> sampler;
     const Time cadence = obs::sampleCadence();
     if (BPSIM_OBS_ON() && cadence > 0) {
+        // One allocation for the whole year's rows.
+        const auto ticks = static_cast<std::size_t>(kYear / cadence + 1);
+        obs::TrialRecord &record = *obs::activeRecord();
+        record.samples.reserve(record.samples.size() +
+                               obs::kSignalCount * ticks);
         sampler = [&sampler, &sim, &hierarchy, &cluster, &tech,
                    cadence] {
             using obs::SignalId;

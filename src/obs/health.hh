@@ -1,7 +1,7 @@
 /**
  * @file
  * Outage forensics stage 2: declarative health/invariant checks over
- * a drained trace (and optionally sampled signals and the incident
+ * a recorded trace (and optionally sampled signals and the incident
  * report), in the spirit of Netdata's alarm engine and the
  * calibration invariants literature: a simulation whose outputs
  * violate SoC bounds, power balance or legal DG state transitions

@@ -180,29 +180,5 @@ mergeHistograms(std::map<std::string, HistogramSnapshot> &into,
     }
 }
 
-std::map<std::string, HistogramSnapshot>
-subtractHistograms(const std::map<std::string, HistogramSnapshot> &after,
-                   const std::map<std::string, HistogramSnapshot> &before)
-{
-    std::map<std::string, HistogramSnapshot> out;
-    for (const auto &[name, snap] : after) {
-        const auto b = before.find(name);
-        HistogramSnapshot delta;
-        for (const auto &[i, c] : snap.buckets) {
-            std::uint64_t base = 0;
-            if (b != before.end()) {
-                const auto bb = b->second.buckets.find(i);
-                if (bb != b->second.buckets.end())
-                    base = bb->second;
-            }
-            if (c > base)
-                delta.buckets.emplace(i, c - base);
-        }
-        if (!delta.buckets.empty())
-            out.emplace(name, std::move(delta));
-    }
-    return out;
-}
-
 } // namespace obs
 } // namespace bpsim

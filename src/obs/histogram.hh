@@ -120,16 +120,6 @@ class Histogram
 void mergeHistograms(std::map<std::string, HistogramSnapshot> &into,
                      const std::map<std::string, HistogramSnapshot> &from);
 
-/**
- * Bucket-wise difference `after - before` (buckets absent from
- * @p before count from zero; empty results are omitted). Used to
- * capture a shard run's histogram delta from the process-wide
- * registry.
- */
-std::map<std::string, HistogramSnapshot>
-subtractHistograms(const std::map<std::string, HistogramSnapshot> &after,
-                   const std::map<std::string, HistogramSnapshot> &before);
-
 } // namespace obs
 } // namespace bpsim
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Outage forensics stage 1: fold a drained, (trial, seq)-sorted trace
+ * Outage forensics stage 1: fold a recorded, (trial, seq)-ordered trace
  * into per-incident records that attribute every second of
  * unavailability to a root cause.
  *
@@ -205,7 +205,7 @@ class IncidentAggregate
     ExactSum reported_;
 };
 
-/** Everything the engine reconstructs from one drained trace. */
+/** Everything the engine reconstructs from one recorded trace. */
 struct IncidentReport
 {
     /** Every incident, ordered (trial, id). */
@@ -219,7 +219,7 @@ struct IncidentReport
 
 /**
  * Reconstruct incidents from @p events, which must be sorted by
- * (trial, seq) — the order drain()/eventsSince() return. Pure
+ * (trial, seq) — the order a TrialRecord and obs::Context hold. Pure
  * function: same events, same report, bit for bit.
  */
 IncidentReport buildIncidentReport(const std::vector<TraceEvent> &events);

@@ -1,19 +1,21 @@
 /**
  * @file
  * Umbrella header and instrumentation macros for the observability
- * layer (obs/trace.hh, obs/registry.hh, obs/export.hh).
+ * layer (obs/trace.hh, obs/record.hh, obs/registry.hh, obs/export.hh).
  *
  * Instrumentation sites in the simulation models go through the
  * macros below so they cost nothing when observability is compiled
- * out and a single relaxed atomic load when it is compiled in but
- * disabled at runtime (the default):
+ * out and a single thread-local load when it is compiled in but the
+ * thread is not recording a trial (the default):
  *
  *  - compile-time gate: configure with -DBPSIM_OBS=OFF (which defines
  *    BPSIM_OBS_ENABLED=0) and every macro expands to a no-op
- *    statement — no branch, no atomic, no strings in the binary;
- *  - runtime gate: obs::setEnabled(true) arms recording; while it is
- *    off, BPSIM_TRACE / BPSIM_OBS_COUNTER_ADD short-circuit on
- *    obs::enabled() before touching any sink or registry state.
+ *    statement — no branch, no load, no strings in the binary;
+ *  - per-trial recording: a campaign run with an obs::Context
+ *    (obs/context.hh) opens a TrialScope with a TrialRecord around
+ *    each trial; outside one, obs::enabled() is false and
+ *    BPSIM_TRACE / BPSIM_OBS_COUNTER_ADD / BPSIM_OBS_HISTOGRAM_RECORD
+ *    return before touching anything. There is no process-wide gate.
  */
 
 #ifndef BPSIM_OBS_OBS_HH
@@ -21,6 +23,7 @@
 
 #include "obs/export.hh"
 #include "obs/histogram.hh"
+#include "obs/record.hh"
 #include "obs/registry.hh"
 #include "obs/timeseries.hh"
 #include "obs/trace.hh"
@@ -32,7 +35,7 @@
 #if BPSIM_OBS_ENABLED
 
 /**
- * The runtime gate as a compile-out-able expression, for guarding
+ * The recording gate as a compile-out-able expression, for guarding
  * instrumentation-only work (e.g. tracking battery SoC crossings)
  * that is more than a single BPSIM_TRACE call. Constant-folds to
  * false when observability is compiled out.
@@ -40,8 +43,9 @@
 #define BPSIM_OBS_ON() (::bpsim::obs::enabled())
 
 /**
- * Record a trace event; arguments are forwarded to
- * obs::TraceSink::emit(kind, sim_time, name[, detail[, a[, b]]]).
+ * Record a trace event in the thread's record; arguments are
+ * forwarded to obs::TraceSink::emit(kind, sim_time, name[, detail[,
+ * a[, b]]]).
  */
 #define BPSIM_TRACE(...)                                                \
     do {                                                                \
@@ -50,32 +54,26 @@
     } while (0)
 
 /**
- * Bump Registry::global().counter(name) by n. The counter reference
- * is resolved once per site (local static), so the steady-state cost
- * is the enabled() check plus one relaxed fetch_add.
+ * Add n to counter name_ (a string literal) in the thread's record;
+ * the campaign's Context later folds it into its deltas and
+ * Registry::global().
  */
 #define BPSIM_OBS_COUNTER_ADD(name_, n_)                                \
     do {                                                                \
-        if (::bpsim::obs::enabled()) {                                  \
-            static ::bpsim::obs::Counter &bpsim_obs_counter_ =          \
-                ::bpsim::obs::Registry::global().counter(name_);        \
-            bpsim_obs_counter_.add(n_);                                 \
-        }                                                               \
+        if (::bpsim::obs::TrialRecord *bpsim_obs_rec_ =                 \
+                ::bpsim::obs::activeRecord())                           \
+            bpsim_obs_rec_->addCounter(name_, n_);                      \
     } while (0)
 
 /**
- * Record value v into Registry::global().histogram(name). Same cost
- * model as BPSIM_OBS_COUNTER_ADD: the histogram reference is resolved
- * once per site, so the steady-state cost is the enabled() check plus
- * one relaxed fetch_add on the target bucket.
+ * Record value v_ into histogram name_ (a string literal) in the
+ * thread's record; folded like BPSIM_OBS_COUNTER_ADD.
  */
 #define BPSIM_OBS_HISTOGRAM_RECORD(name_, v_)                           \
     do {                                                                \
-        if (::bpsim::obs::enabled()) {                                  \
-            static ::bpsim::obs::Histogram &bpsim_obs_hist_ =           \
-                ::bpsim::obs::Registry::global().histogram(name_);      \
-            bpsim_obs_hist_.record(v_);                                 \
-        }                                                               \
+        if (::bpsim::obs::TrialRecord *bpsim_obs_rec_ =                 \
+                ::bpsim::obs::activeRecord())                           \
+            bpsim_obs_rec_->recordHistogram(name_, v_);                 \
     } while (0)
 
 #else // !BPSIM_OBS_ENABLED

@@ -152,20 +152,6 @@ mergeCounters(std::map<std::string, std::uint64_t> &into,
         into[name] += v;
 }
 
-std::map<std::string, std::uint64_t>
-subtractCounters(const std::map<std::string, std::uint64_t> &after,
-                 const std::map<std::string, std::uint64_t> &before)
-{
-    std::map<std::string, std::uint64_t> out;
-    for (const auto &[name, v] : after) {
-        const auto it = before.find(name);
-        const std::uint64_t base = it == before.end() ? 0 : it->second;
-        if (v > base)
-            out[name] = v - base;
-    }
-    return out;
-}
-
 ScopedTimer::ScopedTimer(TimerStat *stat)
     : stat_(stat), start_(std::chrono::steady_clock::now())
 {

@@ -147,17 +147,8 @@ void mergeCounters(std::map<std::string, std::uint64_t> &into,
                    const std::map<std::string, std::uint64_t> &from);
 
 /**
- * Key-wise difference `after - before` (keys absent from @p before
- * count from zero; results that would be zero are omitted). Used to
- * capture a shard run's counter delta from the process-wide registry.
- */
-std::map<std::string, std::uint64_t>
-subtractCounters(const std::map<std::string, std::uint64_t> &after,
-                 const std::map<std::string, std::uint64_t> &before);
-
-/**
  * RAII wall-clock timer feeding a Registry TimerStat on destruction.
- * Obtain via obs::scope(); inert when observability is disabled.
+ * Obtain via obs::scope(); inert when constructed with no stat.
  */
 class ScopedTimer
 {
@@ -180,7 +171,8 @@ class ScopedTimer
  *
  *     auto t = bpsim::obs::scope("campaign.run");
  *
- * Returns an inert timer while observability is disabled.
+ * Returns an inert timer unless the calling thread is recording a
+ * trial (obs::enabled()).
  */
 ScopedTimer scope(const char *name);
 

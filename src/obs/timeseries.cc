@@ -1,12 +1,10 @@
 #include "obs/timeseries.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <mutex>
 #include <tuple>
 
-#include "obs/trace.hh"
+#include "obs/record.hh"
 
 namespace bpsim
 {
@@ -15,39 +13,6 @@ namespace obs
 
 namespace
 {
-
-/** Simulated time between samples; 0 disables the sampler. */
-std::atomic<Time> g_cadence{0};
-
-/** One thread's sample buffer (same publish protocol as the trace
- *  rings: owner-only appends, release-published size). */
-struct SampleRing
-{
-    std::vector<SignalSample> rows;
-    std::atomic<std::size_t> published{0};
-};
-
-/** Never-destroyed ring registry (see obs/trace.cc for why). */
-std::mutex g_rings_m;
-std::vector<SampleRing *> &
-rings()
-{
-    static std::vector<SampleRing *> *const r =
-        new std::vector<SampleRing *>;
-    return *r;
-}
-
-SampleRing *
-localRing()
-{
-    thread_local SampleRing *ring = [] {
-        auto *r = new SampleRing; // owned by rings(), never destroyed
-        std::lock_guard<std::mutex> lk(g_rings_m);
-        rings().push_back(r);
-        return r;
-    }();
-    return ring;
-}
 
 bool
 rowLess(const SignalSample &x, const SignalSample &y)
@@ -75,69 +40,25 @@ signalName(SignalId s)
     return "unknown";
 }
 
-void
-setSampleCadence(Time cadence)
-{
-    g_cadence.store(cadence < 0 ? 0 : cadence,
-                    std::memory_order_relaxed);
-}
-
 Time
 sampleCadence()
 {
-    return g_cadence.load(std::memory_order_relaxed);
-}
-
-TimeSeriesSink &
-TimeSeriesSink::instance()
-{
-    static TimeSeriesSink sink;
-    return sink;
+    const TrialRecord *rec = activeRecord();
+    return rec ? rec->sampleCadence : 0;
 }
 
 void
 TimeSeriesSink::emit(SignalId signal, Time t, double value)
 {
-    if (!enabled())
+    TrialRecord *rec = activeRecord();
+    if (!rec)
         return;
-    SampleRing *ring = localRing();
     SignalSample row;
-    row.trial = currentTrial();
+    row.trial = rec->trial;
     row.t = t;
     row.signal = signal;
     row.value = value;
-    ring->rows.push_back(row);
-    ring->published.store(ring->rows.size(), std::memory_order_release);
-}
-
-std::vector<SignalSample>
-TimeSeriesSink::drain()
-{
-    std::vector<SignalSample> out;
-    {
-        std::lock_guard<std::mutex> lk(g_rings_m);
-        for (SampleRing *r : rings()) {
-            const std::size_t n =
-                r->published.load(std::memory_order_acquire);
-            out.insert(out.end(), r->rows.begin(),
-                       r->rows.begin() +
-                           static_cast<std::ptrdiff_t>(n));
-            r->rows.clear();
-            r->published.store(0, std::memory_order_release);
-        }
-    }
-    std::sort(out.begin(), out.end(), rowLess);
-    return out;
-}
-
-void
-TimeSeriesSink::clear()
-{
-    std::lock_guard<std::mutex> lk(g_rings_m);
-    for (SampleRing *r : rings()) {
-        r->rows.clear();
-        r->published.store(0, std::memory_order_release);
-    }
+    rec->samples.push_back(row);
 }
 
 TimeSeriesStore

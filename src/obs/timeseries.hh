@@ -1,25 +1,25 @@
 /**
  * @file
- * Simulated-signal time series: a sampler-facing TimeSeriesSink that
- * records (trial, sim-time, signal, value) rows into lock-free
- * per-thread ring buffers, and a columnar TimeSeriesStore built from
- * the drained rows for export.
+ * Simulated-signal time series: TimeSeriesSink records (trial,
+ * sim-time, signal, value) rows into the calling thread's
+ * obs::TrialRecord, and a columnar TimeSeriesStore is built from a
+ * campaign's retained rows for export.
  *
  * Determinism contract: samples are keyed to *simulated* time — the
  * sampler is an ordinary simulation event self-rescheduling at a
  * fixed cadence (EventPriority::Stats, so the state at each instant
- * has settled) — and each trial is a pure function of its id running
- * on one worker thread. Sorting the drained rows by (trial, signal,
- * time) therefore yields a sequence that is bit-identical for any
- * thread count, the same contract as TraceSink. Wall clocks never
- * enter the stream.
+ * has settled) — and each trial is a pure function of its id,
+ * recorded into its own record and folded in trial order by the
+ * campaign's obs::Context. The retained rows are therefore
+ * bit-identical for any thread count. Wall clocks never enter the
+ * stream.
  *
- * Cost contract: sampling is armed by *two* runtime knobs — the
- * global obs::setEnabled() gate and a nonzero sample cadence
- * (setSampleCadence(); default 0 = off) — and the scheduling site is
+ * Cost contract: a trial samples only when its record carries a
+ * nonzero cadence — the Context sets one for the trials inside its
+ * sample window and 0 for the rest — and the scheduling site is
  * additionally guarded by BPSIM_OBS_ON(), so a BPSIM_OBS=OFF build
- * contains no sampler at all and a default-configured run schedules
- * no sampling events.
+ * contains no sampler at all and an unrecorded run schedules no
+ * sampling events.
  *
  * Export: TimeSeriesStore groups rows into per-(trial, signal)
  * channels; obs/export.hh renders channels as Chrome trace counter
@@ -83,42 +83,23 @@ struct SignalSample
     double value = 0.0;
 };
 
-/** @name Sampling cadence (simulated time between samples) */
-///@{
-/** 0 (the default) disables sampling entirely. */
-void setSampleCadence(Time cadence);
-Time sampleCadence();
-///@}
-
 /**
- * Process-wide sample collector; the TraceSink pattern applied to
- * numeric signals. Threads append to private ring buffers without
- * locking; drain()/clear() must only run while no trials are in
- * flight.
+ * The calling thread's sample cadence: its record's sampleCadence,
+ * or 0 (sample nothing) outside a recording TrialScope.
  */
+Time sampleCadence();
+
+/** Sample emission into the calling thread's record. */
 class TimeSeriesSink
 {
   public:
-    static TimeSeriesSink &instance();
+    TimeSeriesSink() = delete;
 
     /**
-     * Record one sample on the calling thread, tagged with
-     * obs::currentTrial(). No-op while obs is disabled at runtime.
+     * Record one sample in the active record, tagged with its trial.
+     * No-op without one.
      */
     static void emit(SignalId signal, Time t, double value);
-
-    /**
-     * Remove and return every recorded sample, sorted by
-     * (trial, signal, t) — a deterministic order for any thread
-     * count, and the row order TimeSeriesStore expects.
-     */
-    std::vector<SignalSample> drain();
-
-    /** Discard everything recorded so far. */
-    void clear();
-
-  private:
-    TimeSeriesSink() = default;
 };
 
 /**
@@ -139,7 +120,7 @@ class TimeSeriesStore
     };
 
     TimeSeriesStore() = default;
-    /** Build from drained rows (sorted or not; sorts if needed). */
+    /** Build from sample rows (sorted or not; sorts if needed). */
     static TimeSeriesStore fromSamples(std::vector<SignalSample> rows);
 
     std::size_t rows() const { return times_.size(); }

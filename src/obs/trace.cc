@@ -1,9 +1,8 @@
 #include "obs/trace.hh"
 
-#include <algorithm>
 #include <chrono>
-#include <memory>
-#include <mutex>
+
+#include "obs/record.hh"
 
 namespace bpsim
 {
@@ -13,64 +12,8 @@ namespace obs
 namespace
 {
 
-/** Runtime recording gate (one relaxed load on every hot path). */
-std::atomic<bool> g_enabled{false};
-
-/** Per-trial emission cap (see TraceSink::setMaxEventsPerTrial). */
-std::atomic<std::uint32_t> g_trial_cap{65536};
-
-/** Events discarded by the cap. */
-std::atomic<std::uint64_t> g_dropped{0};
-
-/**
- * One thread's event buffer. Only the owning thread appends;
- * `published` is release-stored after each append so drain() (which
- * runs with no trials in flight, after the pool's completion edge)
- * reads a consistent prefix even from still-alive worker threads.
- */
-struct Ring
-{
-    std::vector<TraceEvent> events;
-    std::atomic<std::size_t> published{0};
-};
-
-/**
- * Registry of every thread's ring. The vector is heap-allocated and
- * never destroyed: worker threads may still be alive during static
- * destruction, and the static pointer keeps the rings reachable so
- * LeakSanitizer does not flag them.
- */
-std::mutex g_rings_m;
-std::vector<Ring *> &
-rings()
-{
-    static std::vector<Ring *> *const r = new std::vector<Ring *>;
-    return *r;
-}
-
-/** The calling thread's ring, registered on first use. */
-Ring *
-localRing()
-{
-    thread_local Ring *ring = [] {
-        auto *r = new Ring; // owned by rings(), never destroyed
-        std::lock_guard<std::mutex> lk(g_rings_m);
-        rings().push_back(r);
-        return r;
-    }();
-    return ring;
-}
-
-/** Per-thread trial tag + sequence counter (see TrialScope). */
-struct TrialCtx
-{
-    std::uint64_t trial = 0;
-    std::uint32_t seq = 0;
-    /** Open incident id (0 = none) and per-trial incident counter. */
-    std::uint32_t incident = 0;
-    std::uint32_t incidentCount = 0;
-};
-thread_local TrialCtx t_ctx;
+/** The calling thread's record (see TrialScope). */
+thread_local TrialRecord *t_record = nullptr;
 
 /** Process epoch for the wall-clock stamps. */
 std::chrono::steady_clock::time_point
@@ -85,40 +28,30 @@ wallEpoch()
 bool
 enabled()
 {
-    return g_enabled.load(std::memory_order_relaxed);
+    return t_record != nullptr;
 }
 
-void
-setEnabled(bool on)
+TrialRecord *
+activeRecord()
 {
-    if (on)
-        wallEpoch(); // pin the epoch before the first event
-    g_enabled.store(on, std::memory_order_relaxed);
-}
-
-std::uint64_t
-currentTrial()
-{
-    return t_ctx.trial;
+    return t_record;
 }
 
 std::uint32_t
 beginIncident()
 {
-    t_ctx.incident = ++t_ctx.incidentCount;
-    return t_ctx.incident;
+    TrialRecord *rec = t_record;
+    if (!rec)
+        return 0;
+    rec->incident = ++rec->incidentCount;
+    return rec->incident;
 }
 
 void
 endIncident()
 {
-    t_ctx.incident = 0;
-}
-
-std::uint32_t
-currentIncident()
-{
-    return t_ctx.incident;
+    if (TrialRecord *rec = t_record)
+        rec->incident = 0;
 }
 
 const char *
@@ -180,30 +113,20 @@ kindCategory(EventKind kind)
     return "unknown";
 }
 
-TraceSink &
-TraceSink::instance()
-{
-    static TraceSink sink;
-    return sink;
-}
-
 void
 TraceSink::emit(EventKind kind, Time sim_time, const char *name,
                 const char *detail, double a, double b)
 {
-    if (!enabled())
+    TrialRecord *rec = t_record;
+    if (!rec)
         return;
-    TrialCtx &ctx = t_ctx;
-    const std::uint32_t seq = ctx.seq++;
-    if (seq >= g_trial_cap.load(std::memory_order_relaxed)) {
-        g_dropped.fetch_add(1, std::memory_order_relaxed);
+    const std::uint32_t seq = rec->seq++;
+    if (seq >= kMaxEventsPerTrial)
         return;
-    }
-    Ring *ring = localRing();
     TraceEvent ev;
-    ev.trial = ctx.trial;
+    ev.trial = rec->trial;
     ev.seq = seq;
-    ev.incident = ctx.incident;
+    ev.incident = rec->incident;
     ev.kind = kind;
     ev.simTime = sim_time;
     ev.wallSeconds =
@@ -214,127 +137,22 @@ TraceSink::emit(EventKind kind, Time sim_time, const char *name,
     ev.a = a;
     ev.b = b;
     ev.setDetail(detail);
-    ring->events.push_back(ev);
-    ring->published.store(ring->events.size(), std::memory_order_release);
+    rec->events.push_back(ev);
 }
 
-std::vector<TraceEvent>
-TraceSink::drain()
+TrialScope::TrialScope(std::uint64_t trial, TrialRecord *record)
+    : prev(t_record)
 {
-    std::vector<TraceEvent> out;
-    {
-        std::lock_guard<std::mutex> lk(g_rings_m);
-        for (Ring *r : rings()) {
-            const std::size_t n =
-                r->published.load(std::memory_order_acquire);
-            out.insert(out.end(), r->events.begin(),
-                       r->events.begin() +
-                           static_cast<std::ptrdiff_t>(n));
-            r->events.clear();
-            r->published.store(0, std::memory_order_release);
-        }
-    }
-    g_dropped.store(0, std::memory_order_relaxed);
-    std::sort(out.begin(), out.end(),
-              [](const TraceEvent &x, const TraceEvent &y) {
-                  return x.trial != y.trial ? x.trial < y.trial
-                                            : x.seq < y.seq;
-              });
-    return out;
-}
-
-TraceSink::Mark
-TraceSink::mark() const
-{
-    Mark m;
-    std::lock_guard<std::mutex> lk(g_rings_m);
-    m.counts.reserve(rings().size());
-    for (Ring *r : rings())
-        m.counts.emplace_back(
-            r, r->published.load(std::memory_order_acquire));
-    return m;
-}
-
-std::vector<TraceEvent>
-TraceSink::eventsSince(const Mark &m) const
-{
-    std::vector<TraceEvent> out;
-    {
-        std::lock_guard<std::mutex> lk(g_rings_m);
-        for (Ring *r : rings()) {
-            std::size_t from = 0;
-            for (const auto &[ring, count] : m.counts)
-                if (ring == r) {
-                    from = count;
-                    break;
-                }
-            const std::size_t n =
-                r->published.load(std::memory_order_acquire);
-            // A drain() since the mark rewinds rings; clamp so a
-            // stale mark degrades to "everything now present".
-            from = std::min(from, n);
-            out.insert(out.end(),
-                       r->events.begin() +
-                           static_cast<std::ptrdiff_t>(from),
-                       r->events.begin() +
-                           static_cast<std::ptrdiff_t>(n));
-        }
-    }
-    std::sort(out.begin(), out.end(),
-              [](const TraceEvent &x, const TraceEvent &y) {
-                  return x.trial != y.trial ? x.trial < y.trial
-                                            : x.seq < y.seq;
-              });
-    return out;
-}
-
-void
-TraceSink::clear()
-{
-    std::lock_guard<std::mutex> lk(g_rings_m);
-    for (Ring *r : rings()) {
-        r->events.clear();
-        r->published.store(0, std::memory_order_release);
-    }
-    g_dropped.store(0, std::memory_order_relaxed);
-}
-
-void
-TraceSink::setMaxEventsPerTrial(std::uint32_t cap)
-{
-    g_trial_cap.store(cap == 0 ? 1 : cap, std::memory_order_relaxed);
-}
-
-std::uint32_t
-TraceSink::maxEventsPerTrial() const
-{
-    return g_trial_cap.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-TraceSink::droppedEvents() const
-{
-    return g_dropped.load(std::memory_order_relaxed);
-}
-
-TrialScope::TrialScope(std::uint64_t trial)
-    : prevTrial(t_ctx.trial), prevSeq(t_ctx.seq),
-      prevIncident(t_ctx.incident), prevIncidentCount(t_ctx.incidentCount)
-{
-    t_ctx.trial = trial;
-    t_ctx.seq = 0;
-    t_ctx.incident = 0;
-    t_ctx.incidentCount = 0;
+    t_record = record;
+    if (record)
+        record->trial = trial;
     TraceSink::emit(EventKind::TrialStart, 0, "trial-start", nullptr,
                     static_cast<double>(trial));
 }
 
 TrialScope::~TrialScope()
 {
-    t_ctx.trial = prevTrial;
-    t_ctx.seq = prevSeq;
-    t_ctx.incident = prevIncident;
-    t_ctx.incidentCount = prevIncidentCount;
+    t_record = prev;
 }
 
 } // namespace obs

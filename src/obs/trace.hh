@@ -1,34 +1,32 @@
 /**
  * @file
- * Event tracing for simulation runs: a process-wide TraceSink that
- * records typed, timestamped simulation events (outage start/end, DG
- * start success/failure, UPS discharge/depletion, technique phase
- * transitions, migration/hibernate progress, battery state-of-charge
- * crossings) into lock-free per-thread ring buffers.
+ * Event tracing for simulation runs: typed, timestamped simulation
+ * events (outage start/end, DG start success/failure, UPS
+ * discharge/depletion, technique phase transitions,
+ * migration/hibernate progress, battery state-of-charge crossings)
+ * recorded into the obs::TrialRecord of the trial that emitted them.
  *
  * Determinism contract: every event carries (trial, seq) where `seq`
  * is a per-trial emission counter. A trial is a pure function of its
- * id and runs on exactly one worker thread, so sorting the drained
- * events by (trial, seq) yields a sequence that is bit-identical for
- * any thread count — the property the golden-trace tests pin. Wall
- * times ride along for profiling but are excluded from deterministic
+ * id and runs on exactly one worker thread into its own record, and
+ * the campaign driver hands records to the obs::Context in trial
+ * order, so a campaign's event sequence is bit-identical for any
+ * thread count — the property the golden-trace tests pin. Wall times
+ * ride along for profiling but are excluded from deterministic
  * exports.
  *
- * Cost contract: when tracing is disabled (the default) every
- * instrumentation site reduces to one relaxed atomic load and a
- * predictable branch; compiling with BPSIM_OBS_ENABLED=0 removes the
- * sites entirely (see obs.hh).
+ * Cost contract: a thread that is not recording a trial (the
+ * default) pays one thread-local load and a predictable branch per
+ * instrumentation site; compiling with BPSIM_OBS_ENABLED=0 removes
+ * the sites entirely (see obs.hh).
  */
 
 #ifndef BPSIM_OBS_TRACE_HH
 #define BPSIM_OBS_TRACE_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <utility>
-#include <vector>
 
 #include "sim/types.hh"
 
@@ -36,6 +34,8 @@ namespace bpsim
 {
 namespace obs
 {
+
+struct TrialRecord;
 
 /** What happened (drives the category/rendering of exporters). */
 enum class EventKind : std::uint8_t
@@ -128,118 +128,71 @@ struct TraceEvent
     }
 };
 
-/** True when observability recording is switched on at runtime. */
+/**
+ * Cap on events recorded per trial; later emissions only advance
+ * `seq`, so which events survive is deterministic.
+ */
+constexpr std::uint32_t kMaxEventsPerTrial = 65536;
+
+/**
+ * True when the calling thread is recording a trial (inside a
+ * TrialScope with a record). Every instrumentation site is gated on
+ * it, so a thread with no record pays one thread-local load per site.
+ */
 bool enabled();
 
-/** Flip the process-wide runtime recording gate. */
-void setEnabled(bool on);
-
 /**
- * The calling thread's active trial id (0 outside a TrialScope).
- * Shared by TraceSink and TimeSeriesSink so every observability
- * stream tags rows with the same trial key.
+ * The calling thread's record (null outside a recording TrialScope):
+ * where BPSIM_OBS_COUNTER_ADD and BPSIM_OBS_HISTOGRAM_RECORD land.
  */
-std::uint64_t currentTrial();
+TrialRecord *activeRecord();
 
 /**
- * Open a new causal incident on the calling thread and return its
- * 1-based per-trial id; subsequently emitted events carry it. Called
- * by PowerHierarchy when the utility fails. Counters reset with each
- * TrialScope, so ids are deterministic per trial.
+ * Open a new causal incident in the calling thread's record and
+ * return its 1-based per-trial id; subsequently emitted events carry
+ * it. Called by PowerHierarchy when the utility fails. Ids count per
+ * record, so they are deterministic per trial. 0 when not recording.
  */
 std::uint32_t beginIncident();
 
 /** Close the calling thread's open incident (id returns to 0). */
 void endIncident();
 
-/** The calling thread's open incident id (0 when none). */
-std::uint32_t currentIncident();
-
-/**
- * Process-wide trace collector. Threads append to private ring
- * buffers without locking; drain()/clear() must only be called while
- * no simulation trials are in flight (e.g. between campaigns).
- */
+/** Trace emission into the calling thread's record. */
 class TraceSink
 {
   public:
-    static TraceSink &instance();
+    TraceSink() = delete;
 
     /**
-     * Record one event on the calling thread (no-op while disabled).
-     * @p name and the strings reachable from it must outlive the sink
-     * (pass string literals); @p detail is copied (truncated to 31
-     * chars).
+     * Record one event in the active record (no-op without one).
+     * @p name and the strings reachable from it must outlive the
+     * record (pass string literals); @p detail is copied (truncated
+     * to 31 chars).
      */
     static void emit(EventKind kind, Time sim_time, const char *name,
                      const char *detail = nullptr, double a = 0.0,
                      double b = 0.0);
-
-    /**
-     * Remove and return every recorded event, sorted by (trial, seq)
-     * — a deterministic order for any thread count.
-     */
-    std::vector<TraceEvent> drain();
-
-    /**
-     * Opaque position bookmark for eventsSince(). Valid until the
-     * next drain()/clear() (which rewind the rings).
-     */
-    struct Mark
-    {
-        std::vector<std::pair<const void *, std::size_t>> counts;
-    };
-
-    /** Bookmark the current end of every thread's ring. */
-    Mark mark() const;
-
-    /**
-     * Copy (without consuming) every event recorded after @p m,
-     * sorted by (trial, seq). Same caller contract as drain(): only
-     * while no trials are in flight. Lets the shard runner fold
-     * incidents out of the trace while leaving the events in place
-     * for a later drain()-based export.
-     */
-    std::vector<TraceEvent> eventsSince(const Mark &m) const;
-
-    /** Discard everything recorded so far. */
-    void clear();
-
-    /**
-     * Cap on events recorded per trial; later emissions are counted
-     * as dropped. Because `seq` keeps advancing, the set of surviving
-     * events stays deterministic. Default 65536.
-     */
-    void setMaxEventsPerTrial(std::uint32_t cap);
-    std::uint32_t maxEventsPerTrial() const;
-
-    /** Events discarded by the per-trial cap since the last clear(). */
-    std::uint64_t droppedEvents() const;
-
-  private:
-    TraceSink() = default;
 };
 
 /**
- * RAII trial context: tags events emitted by the calling thread with
- * @p trial and restarts the per-trial sequence counter. Instantiated
- * by the campaign runners around each trial body; nests correctly
- * (restores the previous context on destruction).
+ * RAII trial context: points every instrumentation site on the
+ * calling thread at @p record (null = record nothing) and emits the
+ * record's TrialStart marker. Instantiated by the campaign drivers
+ * around each trial body; nests correctly (restores the previous
+ * record on destruction, whose sequence continues where it left off).
  */
 class TrialScope
 {
   public:
-    explicit TrialScope(std::uint64_t trial);
+    TrialScope(std::uint64_t trial, TrialRecord *record);
     ~TrialScope();
 
     TrialScope(const TrialScope &) = delete;
     TrialScope &operator=(const TrialScope &) = delete;
 
   private:
-    std::uint64_t prevTrial;
-    std::uint32_t prevSeq;
-    std::uint32_t prevIncident;
-    std::uint32_t prevIncidentCount;
+    TrialRecord *prev;
 };
 
 } // namespace obs

@@ -137,7 +137,7 @@ AlertEngine::AlertEngine(std::vector<AlertRule> rules)
 std::vector<AlertEvent>
 AlertEngine::evaluate(const obs::TimeSeriesStore *series,
                       const std::map<std::string, std::uint64_t> *counters,
-                      const obs::IncidentReport *incidents)
+                      const double *maxResidualMin)
 {
     std::vector<AlertEvent> round;
     std::lock_guard<std::mutex> lk(m_);
@@ -202,11 +202,9 @@ AlertEngine::evaluate(const obs::TimeSeriesStore *series,
             break;
         }
         case AlertSource::IncidentResidual: {
-            if (incidents == nullptr)
+            if (maxResidualMin == nullptr)
                 break;
-            double v = 0.0;
-            for (const auto &t : incidents->trials)
-                v = std::max(v, std::abs(t.residualMin()));
+            const double v = *maxResidualMin;
             const AlertState next = stepInstant(rule, st.state, v);
             if (next != st.state) {
                 round.push_back(

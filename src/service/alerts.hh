@@ -8,14 +8,14 @@
  * clears — so a signal hovering at a threshold cannot flap.
  *
  * Three source kinds cover the service's signals:
- *  - Signal: a sampled simulation time series (obs::TimeSeriesSink),
+ *  - Signal: a sampled simulation time series (obs::TimeSeriesStore),
  *    e.g. battery state of charge. Evaluated per (trial, signal)
  *    channel in simulated time; the dwell is simulated seconds.
  *  - CounterRatio: numerator/denominator over an obs::Registry
  *    counter snapshot, e.g. DG start failures per start attempt.
- *  - IncidentResidual: the unattributed-downtime residual of an
- *    obs::IncidentReport (forensic attribution must reconcile with
- *    the simulator's own downtime accounting).
+ *  - IncidentResidual: the largest per-trial unattributed-downtime
+ *    residual of the run's incident forensics (forensic attribution
+ *    must reconcile with the simulator's own downtime accounting).
  *
  * The engine is deterministic: evaluation is a pure function of its
  * inputs, channels are walked in the store's (trial, signal) order,
@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "campaign/json.hh"
-#include "obs/incident.hh"
 #include "obs/registry.hh"
 #include "obs/timeseries.hh"
 
@@ -64,7 +63,7 @@ enum class AlertSource : std::uint8_t
     Signal,
     /** numerator / denominator over a counter snapshot. */
     CounterRatio,
-    /** max |per-trial attribution residual| of an IncidentReport. */
+    /** max |per-trial incident attribution residual| of a run. */
     IncidentResidual,
 };
 
@@ -159,7 +158,8 @@ class AlertEngine
     /**
      * Evaluate every rule against the evidence of one campaign run:
      * @p series for Signal rules (may be null), @p counters for
-     * CounterRatio rules (may be null), @p incidents for
+     * CounterRatio rules (may be null), @p maxResidualMin — the
+     * largest |per-trial incident attribution residual| — for
      * IncidentResidual rules (may be null). Returns this round's
      * transitions (also appended to the internal log) and updates
      * per-rule states.
@@ -167,7 +167,7 @@ class AlertEngine
     std::vector<AlertEvent> evaluate(
         const obs::TimeSeriesStore *series,
         const std::map<std::string, std::uint64_t> *counters,
-        const obs::IncidentReport *incidents);
+        const double *maxResidualMin);
 
     /** Current status of @p rule (nullopt for unknown names). */
     std::optional<AlertStatus> status(const std::string &rule) const;

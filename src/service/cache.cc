@@ -45,6 +45,16 @@ ResultCache::get(const std::string &key, bool countMiss)
     return it->second->value;
 }
 
+std::optional<std::string>
+ResultCache::peek(const std::string &key) const
+{
+    std::lock_guard<std::mutex> lk(m_);
+    const auto it = index_.find(fnv1a64(key));
+    if (it == index_.end() || it->second->key != key)
+        return std::nullopt;
+    return it->second->value;
+}
+
 void
 ResultCache::put(const std::string &key, std::string value)
 {

@@ -75,6 +75,10 @@ class ResultCache
     std::optional<std::string> get(const std::string &key,
                                    bool countMiss = true);
 
+    /** The stored value for @p key, without counting the lookup or
+     *  touching the LRU order (for the service's own bookkeeping). */
+    std::optional<std::string> peek(const std::string &key) const;
+
     /** Insert/overwrite the value for @p key, evicting the LRU tail
      *  when the entry bound is exceeded. */
     void put(const std::string &key, std::string value);

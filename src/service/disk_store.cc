@@ -1,5 +1,6 @@
 #include "service/disk_store.hh"
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <fstream>
@@ -171,8 +172,13 @@ DiskStore::store(const std::string &key, const std::string &value) const
     if (!enabled())
         return false;
     const std::string path = pathFor(key);
+    // Unique per write, not just per process: concurrent misses can
+    // store the same key at once, and a shared temp name would let
+    // one writer rename the other's half-written file into place.
+    static std::atomic<std::uint64_t> sequence{0};
     const std::string tmp =
-        path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+        path + ".tmp." + std::to_string(static_cast<long>(::getpid())) +
+        "." + std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
     {
         std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
         if (!os) {

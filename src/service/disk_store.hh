@@ -60,8 +60,10 @@ class DiskStore
 
     /**
      * Atomically persist @p value for @p key, overwriting any previous
-     * entry. Returns false (counting `service.disk.errors`) on I/O
-     * failure; the caller treats that as "no disk", not an error.
+     * entry. Safe to call concurrently, also for one key: every write
+     * goes through its own temp file, and the last rename wins.
+     * Returns false (counting `service.disk.errors`) on I/O failure;
+     * the caller treats that as "no disk", not an error.
      */
     bool store(const std::string &key, const std::string &value) const;
 

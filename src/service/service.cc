@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "obs/context.hh"
 #include "obs/obs.hh"
 #include "service/dashboard.hh"
 
@@ -59,14 +60,6 @@ CampaignService::CampaignService(ServiceOptions opts)
                 }),
             opts.http)
 {
-    if (opts_.evaluateAlerts) {
-        // Signal rules need sampled signals: arm the runtime gate and
-        // default the cadence to hourly when nothing set one (a year
-        // at hourly cadence is ~8.8k samples per signal per trial).
-        obs::setEnabled(true);
-        if (obs::sampleCadence() == 0)
-            obs::setSampleCadence(fromHours(1.0));
-    }
 }
 
 CampaignService::~CampaignService()
@@ -293,7 +286,6 @@ CampaignService::computeWhatIf(const WhatIfRequest &request,
                                const char *keyhex,
                                RequestTrack &track)
 {
-    std::lock_guard<std::mutex> lk(campaign_m_);
     // Re-check unspanned (handleWhatIf timed the memory lookup): a
     // result cached since then, say by a flight that just landed,
     // must not be recomputed.
@@ -335,21 +327,20 @@ CampaignService::computeWhatIf(const WhatIfRequest &request,
         }
     }
 
-    const bool with_alerts = opts_.evaluateAlerts && BPSIM_OBS_ON();
-    std::map<std::string, std::uint64_t> counters_before;
-    if (with_alerts) {
-        // Discard sink residue so the alert evidence is exactly this
-        // campaign's; safe here because campaign_m_ guarantees no
-        // trials are in flight.
-        obs::TraceSink::instance().clear();
-        obs::TimeSeriesSink::instance().clear();
-        counters_before = obs::Registry::global().counterSnapshot();
+    // The alert evidence is this campaign's own recording, whatever
+    // else runs in the process.
+    std::optional<obs::Context> evidence;
+    if (opts_.evaluateAlerts && BPSIM_OBS_ENABLED) {
+        evidence.emplace();
+        evidence->sampleCadence = opts_.alertSampleCadence;
+        evidence->sampleTrials = opts_.alertSampleTrials;
     }
 
     std::optional<WhatIfExecution> run;
     {
         const auto s = track.span(RequestPhase::Campaign);
-        run = executeWhatIf(request, from ? &*from : nullptr);
+        run = executeWhatIf(request, from ? &*from : nullptr,
+                            evidence ? &*evidence : nullptr);
     }
     const WhatIfExecution &ex = *run;
     obs::Registry::global().counter("service.whatif.campaigns").add(1);
@@ -366,49 +357,16 @@ CampaignService::computeWhatIf(const WhatIfRequest &request,
         cache_.put(key, ex.body);
         disk_.store(key, ex.body);
         resp.body = ex.body;
-
-        // Persist the checkpoint only when it extends what is already
-        // stored — a smaller-budget request must never clobber a
-        // deeper trajectory another request paid for.
-        if (!from ||
-            ex.checkpoint.trials > from->trials) {
-            std::ostringstream ck;
-            writeCheckpointJson(ck, ex.checkpoint);
-            std::string text = ck.str();
-            if (text.size() <= opts_.checkpointMaxBytes) {
-                disk_.store(ckpt_key, text);
-                ckptCache_.put(ckpt_key, std::move(text));
-            } else {
-                obs::Registry::global()
-                    .counter("service.ckpt.oversize")
-                    .add(1);
-            }
-        }
+        storeCheckpoint(ckpt_key, ex.checkpoint);
     }
 
-    if (with_alerts) {
+    if (evidence) {
         const auto sp = track.span(RequestPhase::Alerts);
-        const auto events = obs::TraceSink::instance().drain();
-        auto samples = obs::TimeSeriesSink::instance().drain();
-        // The warm-up sample window is relative to the trials this
-        // call simulated: a resumed campaign's first fresh trial is
-        // ex.startTrial, not 0.
-        const std::uint64_t start = ex.startTrial;
-        samples.erase(
-            std::remove_if(samples.begin(), samples.end(),
-                           [this, start](const obs::SignalSample &s) {
-                               return s.trial < start ||
-                                      s.trial - start >=
-                                          opts_.alertSampleTrials;
-                           }),
-            samples.end());
         const auto store =
-            obs::TimeSeriesStore::fromSamples(std::move(samples));
-        const auto incidents = obs::buildIncidentReport(events);
-        const auto counters_delta = obs::subtractCounters(
-            obs::Registry::global().counterSnapshot(), counters_before);
-        const auto fired =
-            alerts_.evaluate(&store, &counters_delta, &incidents);
+            obs::TimeSeriesStore::fromSamples(evidence->samples());
+        const double residual = evidence->maxResidualMin();
+        const auto fired = alerts_.evaluate(
+            &store, &evidence->deltas().counters, &residual);
         alerts_.exportTo(obs::Registry::global());
         if (!fired.empty()) {
             obs::Registry::global()
@@ -423,6 +381,34 @@ CampaignService::computeWhatIf(const WhatIfRequest &request,
         }
     }
     return resp;
+}
+
+void
+CampaignService::storeCheckpoint(const std::string &ckptKey,
+                                 const CampaignCheckpoint &ck)
+{
+    // Compare-and-store against what is stored now, not what this
+    // miss read before its campaign: a concurrent miss of the same
+    // scenario may have stored a deeper trajectory since, and a
+    // smaller budget must never clobber one another request paid for.
+    std::lock_guard<std::mutex> lk(ckpt_m_);
+    std::optional<std::string> stored = ckptCache_.peek(ckptKey);
+    if (!stored)
+        stored = disk_.load(ckptKey);
+    if (stored) {
+        const auto current = readCheckpointJson(*stored);
+        if (current && current->trials >= ck.trials)
+            return;
+    }
+    std::ostringstream os;
+    writeCheckpointJson(os, ck);
+    std::string text = os.str();
+    if (text.size() > opts_.checkpointMaxBytes) {
+        obs::Registry::global().counter("service.ckpt.oversize").add(1);
+        return;
+    }
+    disk_.store(ckptKey, text);
+    ckptCache_.put(ckptKey, std::move(text));
 }
 
 void

@@ -23,16 +23,17 @@
  *   GET  /dashboard    self-contained live HTML dashboard.
  *   POST /v1/shutdown  graceful stop (used by the CI smoke test).
  *
- * Campaign execution is serialized: one what-if runs at a time (the
- * campaign itself already fans out across every core via the shared
- * WorkStealingPool, so concurrent campaigns would only fight over
- * the same cores — and serializing keeps the drain of the
- * trace/sample sinks, which must not race in-flight trials, trivially
- * correct). Memory-cache hits are served before the flight table
- * and without that lock, so neither a hit nor a metrics scrape,
- * alert read or health probe waits on a running campaign; a request
- * that misses re-checks the cache under the lock, so each request
- * counts at most one hit or miss.
+ * Misses run concurrently: nothing serializes campaign execution.
+ * Each miss records into its own obs::Context, so its alert evidence
+ * (counters, incident residuals, sampled signals) is its campaign's
+ * alone, whatever else the process runs. The first campaign fans out
+ * across the shared WorkStealingPool; a campaign that starts while
+ * the pool is busy runs its trials inline on its request thread (the
+ * pool's documented fallback), which keeps results bit-identical.
+ * Memory-cache hits are served before the flight table, so neither a
+ * hit nor a metrics scrape, alert read or health probe waits on a
+ * running campaign; a request that misses re-checks the cache before
+ * computing, so each request counts at most one hit or miss.
  *
  * Three layers sit in front of the campaign (docs/SERVICE.md):
  *
@@ -126,14 +127,17 @@ struct ServiceOptions
     /** Request sizing guard-rails. */
     WhatIfLimits limits;
     /**
-     * Evaluate the alert rule book after every uncached what-if.
-     * Requires obs to be enabled; when the sample cadence is zero it
-     * is set to hourly so Signal rules have data.
+     * Evaluate the alert rule book after every uncached what-if: the
+     * campaign then records into its own obs::Context. Ignored when
+     * the obs layer is compiled out.
      */
     bool evaluateAlerts = true;
-    /** Trials per campaign whose signals feed the alert engine (the
-     *  sink records every trial; this caps memory, like the sweep's
-     *  sampled-trial filter). */
+    /** Simulated time between the signal samples Signal rules read
+     *  (--sample-seconds; hourly by default). */
+    Time alertSampleCadence = fromHours(1.0);
+    /** Trials per campaign that sample signals for the alert engine,
+     *  counted from the first trial the campaign simulates (the
+     *  Context's sample window; bounds memory). */
     std::uint64_t alertSampleTrials = 4;
     /** Coalesce identical in-flight what-ifs into one execution. */
     bool coalesce = true;
@@ -144,10 +148,10 @@ struct ServiceOptions
     std::size_t checkpointMaxBytes = 1u << 20;
     /**
      * Test hook: invoked by a request that missed the memory cache,
-     * once it holds the campaign lock and before the disk, checkpoint
-     * and campaign steps (for a coalescing leader: after it claimed
-     * the flight). Lets tests hold a miss while followers park or
-     * hits arrive. Never set in production.
+     * before the disk, checkpoint and campaign steps (for a
+     * coalescing leader: after it claimed the flight). Lets tests
+     * hold a miss while followers park, hits arrive or other misses
+     * run. Never set in production.
      */
     std::function<void()> testBeforeCampaign;
     /** Request-level observability (ids, spans, access log, status). */
@@ -248,6 +252,10 @@ class CampaignService
                                const std::string &key,
                                const char *keyhex,
                                RequestTrack &track);
+    /** Store @p ck under @p ckptKey unless the checkpoint stored
+     *  there now is at least as deep (or @p ck is oversize). */
+    void storeCheckpoint(const std::string &ckptKey,
+                         const CampaignCheckpoint &ck);
     HttpResponse handleAlerts() const;
     HttpResponse handleMetrics() const;
     HttpResponse handleHealthz();
@@ -273,8 +281,8 @@ class CampaignService
     ResultCache ckptCache_;
     DiskStore disk_;
     AlertEngine alerts_;
-    /** Serializes campaign execution + sink drains. */
-    std::mutex campaign_m_;
+    /** Serializes storeCheckpoint's compare-and-store. */
+    std::mutex ckpt_m_;
     /** Guards inflight_; inflight_cv_ wakes parked followers. */
     std::mutex inflight_m_;
     std::condition_variable inflight_cv_;

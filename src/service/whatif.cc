@@ -337,7 +337,8 @@ runWhatIf(const WhatIfRequest &req)
 }
 
 WhatIfExecution
-executeWhatIf(const WhatIfRequest &req, const CampaignCheckpoint *from)
+executeWhatIf(const WhatIfRequest &req, const CampaignCheckpoint *from,
+              obs::Context *obs)
 {
     // A checkpoint only seeds the run when resuming from it is
     // guaranteed bit-identical to running fresh: same seed (the RNG
@@ -353,8 +354,10 @@ executeWhatIf(const WhatIfRequest &req, const CampaignCheckpoint *from)
     WhatIfExecution out;
     out.resumed = compatible;
     out.startTrial = compatible ? from->trials : 0;
-    const ResumableOutcome run = runResumableCampaign(
-        req.spec, req.opts, compatible ? from : nullptr);
+    AnnualCampaignOptions opts = req.opts;
+    opts.obs = obs;
+    const ResumableOutcome run =
+        runResumableCampaign(req.spec, opts, compatible ? from : nullptr);
     out.executedTrials = run.executedTrials;
     out.checkpoint = run.checkpoint;
     std::ostringstream os;

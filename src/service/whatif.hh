@@ -112,8 +112,7 @@ struct WhatIfExecution
     /** True when @p from was compatible and seeded the run. */
     bool resumed = false;
     /** First trial id simulated this call (the checkpoint's trial
-     *  count when resuming, else 0). Alert evaluation uses it to keep
-     *  warm-up sample filtering relative to this call's work. */
+     *  count when resuming, else 0). */
     std::uint64_t startTrial = 0;
 };
 
@@ -123,10 +122,13 @@ struct WhatIfExecution
  * buildId — the campaign resumes from it, simulating only the
  * remaining trials; the result is bit-identical to a fresh run (see
  * campaign/checkpoint.hh). An incompatible checkpoint is ignored and
- * the campaign runs fresh.
+ * the campaign runs fresh. When @p obs is non-null the trials this
+ * call simulates record into it (its sample window counts from
+ * startTrial).
  */
 WhatIfExecution executeWhatIf(const WhatIfRequest &req,
-                              const CampaignCheckpoint *from = nullptr);
+                              const CampaignCheckpoint *from = nullptr,
+                              obs::Context *obs = nullptr);
 
 /** Stable lowercase name of @p kind ("throttle_sleep", ...). */
 const char *techniqueKindName(TechniqueKind kind);

@@ -131,21 +131,6 @@ shardJson(ShardResult shard)
     return os.str();
 }
 
-/** Arm tracing for one test; restore a clean disabled state after. */
-struct TracingOn
-{
-    TracingOn()
-    {
-        obs::TraceSink::instance().clear();
-        obs::setEnabled(true);
-    }
-    ~TracingOn()
-    {
-        obs::setEnabled(false);
-        obs::TraceSink::instance().clear();
-    }
-};
-
 TEST(BatchKernelEligibility, FastPathCoversTheCommonCampaignShapes)
 {
     const auto eligible = [](const AnnualCampaignSpec &spec) {
@@ -337,7 +322,7 @@ TEST(BatchShard, ShardFileBytesInvariantAcrossBatchAndThreads)
 
 TEST(BatchShard, ObsHistogramsAndIncidentsMatchScalar)
 {
-    // With observability armed the shard file also carries counters,
+    // A recording shard's file also carries counters,
     // histogram buckets, and the incident-forensics rollup; the
     // batched driver (which runs every lane through the scalar
     // fallback precisely so the trace stays identical) must reproduce
@@ -348,10 +333,11 @@ TEST(BatchShard, ObsHistogramsAndIncidentsMatchScalar)
                       fromMinutes(4.0), true};
 
     const auto run = [&](std::uint64_t batch, int threads) {
-        const TracingOn guard;
+        obs::Context evidence;
         ShardOptions opts;
         opts.threads = threads;
         opts.batch = batch;
+        opts.obs = &evidence;
         return shardJson(
             runAnnualShard(spec, shardOf(kSeed, kTrials, 0, 1), opts));
     };
@@ -396,16 +382,18 @@ TEST(BatchGolden, TraceFixtureReproducedThroughBatchedDriver)
                       fromMinutes(4.0), true};
     spec.config = dgSmallPUpsConfig();
 
-    const TracingOn guard;
+    obs::Context evidence;
+    evidence.keepEvents = true;
     ShardOptions opts;
     opts.threads = 1;
     opts.batch = 3;
+    opts.obs = &evidence;
     runAnnualShard(spec, shardOf(2014, 8, 0, 1), opts);
 
     std::ostringstream os;
     obs::TraceExportOptions topts;
     topts.metadata = {{"build", "golden-fixture"}, {"seed", "2014"}};
-    writeChromeTrace(os, obs::TraceSink::instance().drain(), topts);
+    writeChromeTrace(os, evidence.events(), topts);
     EXPECT_EQ(os.str(), readFixture("trace_v1.json"))
         << "batched driver diverged from the committed golden trace";
 }
@@ -419,10 +407,11 @@ TEST(BatchGolden, IncidentFixtureReproducedThroughBatchedDriver)
                       fromMinutes(4.0), true};
     spec.config = minCostConfig();
 
-    const TracingOn guard;
+    obs::Context evidence;
     ShardOptions opts;
     opts.threads = 1;
     opts.batch = 3;
+    opts.obs = &evidence;
     const ShardResult shard =
         runAnnualShard(spec, shardOf(2014, 8, 0, 1), opts);
 

@@ -16,8 +16,11 @@
 
 #include "campaign/annual_campaign.hh"
 #include "campaign/runner.hh"
+#include "core/backup_config.hh"
+#include "obs/context.hh"
 #include "outage/trace.hh"
 #include "sim/logging.hh"
+#include "workload/profile.hh"
 
 namespace bpsim
 {
@@ -266,6 +269,39 @@ TEST(AnnualCampaign, LongCampaignSerialMatchesParallel)
     const auto parallel = runAnnualCampaign(testSpec(), opts);
 
     EXPECT_EQ(fingerprint(serial), fingerprint(parallel));
+}
+
+TEST(AnnualCampaign, EarlyStoppedRecordingRetainsOnlyAggregatedTrials)
+{
+    // campaign_sweep's shape: an early-stopped campaign recording into
+    // a Context that keeps events. Workers run trials past the stop
+    // index speculatively; the retained events and forensics must be
+    // exactly the aggregated trials'.
+    AnnualCampaignSpec spec;
+    spec.profile = specJbbProfile();
+    spec.nServers = 4;
+    spec.technique = {TechniqueKind::Throttle, 5, 0, 0, false};
+    spec.config = minCostConfig();
+
+    obs::Context evidence;
+    evidence.keepEvents = true;
+    AnnualCampaignOptions opts;
+    opts.maxTrials = 400;
+    opts.seed = 2014;
+    opts.threads = 4;
+    opts.minTrials = 16;
+    opts.ciRelTol = 0.30;
+    opts.obs = &evidence;
+    const auto s = runAnnualCampaign(spec, opts);
+    ASSERT_TRUE(s.stoppedEarly);
+
+    std::uint64_t starts = 0;
+    for (const auto &ev : evidence.events()) {
+        EXPECT_LT(ev.trial, s.trials);
+        starts += ev.kind == obs::EventKind::TrialStart;
+    }
+    EXPECT_EQ(starts, s.trials);
+    EXPECT_EQ(evidence.deltas().incidents.trials(), s.trials);
 }
 
 } // namespace

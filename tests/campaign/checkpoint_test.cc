@@ -22,7 +22,7 @@
 #include "campaign/json.hh"
 #include "campaign/shard.hh"
 #include "core/backup_config.hh"
-#include "obs/obs.hh"
+#include "obs/context.hh"
 #include "workload/profile.hh"
 
 namespace bpsim
@@ -72,20 +72,15 @@ checkpointJson(const CampaignCheckpoint &c)
     return os.str();
 }
 
-/** Arm tracing for one test; restore a clean disabled state after. */
-struct TracingOn
+/** runResumableCampaign recording into a fresh obs::Context. */
+ResumableOutcome
+runRecorded(const AnnualCampaignSpec &spec, AnnualCampaignOptions opts,
+            const CampaignCheckpoint *from)
 {
-    TracingOn()
-    {
-        obs::TraceSink::instance().clear();
-        obs::setEnabled(true);
-    }
-    ~TracingOn()
-    {
-        obs::setEnabled(false);
-        obs::TraceSink::instance().clear();
-    }
-};
+    obs::Context evidence;
+    opts.obs = &evidence;
+    return runResumableCampaign(spec, opts, from);
+}
 
 TEST(CampaignCheckpoint, ExtensionMatchesFreshRunBitExactly)
 {
@@ -120,16 +115,14 @@ TEST(CampaignCheckpoint, CheckpointOfExtensionMatchesFreshCheckpoint)
     // histogram / incident deltas — must be identical whether the M
     // trials ran in one go or as K + (M - K), so a checkpoint can be
     // extended any number of times without drift.
-    const TracingOn tracing;
     const auto spec = testSpec();
     constexpr std::uint64_t kK = 24, kM = 64;
-    const auto fresh = runResumableCampaign(spec, fixedOpts(kM), nullptr);
+    const auto fresh = runRecorded(spec, fixedOpts(kM), nullptr);
     ASSERT_FALSE(fresh.checkpoint.counters.empty());
     ASSERT_FALSE(fresh.checkpoint.histograms.empty());
 
-    const auto base = runResumableCampaign(spec, fixedOpts(kK), nullptr);
-    auto opts = fixedOpts(kM);
-    const auto ext = runResumableCampaign(spec, opts, &base.checkpoint);
+    const auto base = runRecorded(spec, fixedOpts(kK), nullptr);
+    const auto ext = runRecorded(spec, fixedOpts(kM), &base.checkpoint);
     EXPECT_EQ(checkpointJson(ext.checkpoint),
               checkpointJson(fresh.checkpoint));
 }
@@ -224,6 +217,31 @@ TEST(CampaignCheckpoint, MaskedBudgetBoundaryStopIsReDerived)
                                               &boundary.checkpoint);
     EXPECT_EQ(resumed.executedTrials, 0u);
     EXPECT_EQ(summaryJson(resumed.summary), summaryJson(fresh));
+}
+
+TEST(CampaignCheckpoint, EarlyStoppedRecordingHoldsOnlyFoldedTrials)
+{
+    // Workers run trials past the stop index speculatively; those
+    // trials are dropped with their records, so the checkpoint's obs
+    // deltas describe exactly the folded prefix — byte-identical for
+    // any thread count and run to run.
+    const auto spec = testSpec();
+    std::string want;
+    for (int repeat = 0; repeat < 3; ++repeat) {
+        for (const int threads : {1, 4}) {
+            auto opts = earlyStopOpts(400);
+            opts.threads = threads;
+            const auto out = runRecorded(spec, opts, nullptr);
+            ASSERT_TRUE(out.summary.stoppedEarly);
+            EXPECT_EQ(out.checkpoint.incidents.trials(),
+                      out.checkpoint.trials);
+            const std::string got = checkpointJson(out.checkpoint);
+            if (want.empty())
+                want = got;
+            EXPECT_EQ(got, want)
+                << "repeat " << repeat << ", " << threads << " threads";
+        }
+    }
 }
 
 TEST(CampaignCheckpointReader, RejectsMalformedDocumentsWithoutAsserting)

@@ -223,26 +223,22 @@ TEST(HealthChecks, FindingCapKeepsCountingPastIt)
 
 TEST(HealthChecks, CleanCampaignRunIsHealthy)
 {
-    obs::TraceSink::instance().clear();
-    obs::TimeSeriesSink::instance().clear();
-    obs::setEnabled(true);
-    obs::setSampleCadence(fromSeconds(3600.0));
-
     AnnualCampaignSpec spec;
     spec.profile = specJbbProfile();
     spec.nServers = 4;
     spec.technique = {TechniqueKind::ThrottleSleep, 5, 0, fromMinutes(4.0),
                       true};
     spec.config = minCostConfig();
+    obs::Context evidence;
+    evidence.sampleCadence = fromSeconds(3600.0);
+    evidence.keepEvents = true;
     ShardOptions opts;
     opts.threads = 1;
+    opts.obs = &evidence;
     runAnnualShard(spec, shardOf(2014, 8, 0, 1), opts);
 
-    const auto events = obs::TraceSink::instance().drain();
-    const auto store = obs::TimeSeriesStore::fromSamples(
-        obs::TimeSeriesSink::instance().drain());
-    obs::setSampleCadence(0);
-    obs::setEnabled(false);
+    const auto &events = evidence.events();
+    const auto store = obs::TimeSeriesStore::fromSamples(evidence.samples());
 
     ASSERT_FALSE(events.empty());
     ASSERT_FALSE(store.empty());

@@ -156,20 +156,6 @@ TEST(HistogramMerge, AssociativeCommutativeWithIdentity)
     EXPECT_EQ(id, a);
 }
 
-TEST(HistogramMerge, SubtractInvertsMerge)
-{
-    using Map = std::map<std::string, HistogramSnapshot>;
-    Rng rng(5);
-    const Map before = {{"m", randomSnapshot(rng, 80)}};
-    Map after = before;
-    const Map delta = {{"m", randomSnapshot(rng, 40)},
-                       {"new", randomSnapshot(rng, 7)}};
-    obs::mergeHistograms(after, delta);
-    EXPECT_EQ(obs::subtractHistograms(after, before), delta);
-    // Zero delta vanishes entirely (omitted-when-empty contract).
-    EXPECT_TRUE(obs::subtractHistograms(before, before).empty());
-}
-
 // ---------------------------------------------------------------------
 // Shard integration: histogram deltas ride shard files and merge
 // bit-identically for any partition.
@@ -189,24 +175,23 @@ dgSpec()
     return spec;
 }
 
-struct ObsOn
+/** One shard of the DG campaign, recording into a fresh Context. */
+ShardResult
+runRecordedShard(std::uint64_t index, std::uint64_t count)
 {
-    ObsOn() { obs::setEnabled(true); }
-    ~ObsOn()
-    {
-        obs::setEnabled(false);
-        obs::TraceSink::instance().clear();
-    }
-};
+    obs::Context evidence;
+    ShardOptions opts;
+    opts.obs = &evidence;
+    return runAnnualShard(dgSpec(), shardOf(kSeed, kTrials, index, count),
+                          opts);
+}
 
 MergedCampaign
 runPartitioned(std::uint64_t shard_count, bool reverse_merge)
 {
-    const ObsOn guard;
     std::vector<ShardResult> shards;
     for (std::uint64_t i = 0; i < shard_count; ++i)
-        shards.push_back(
-            runAnnualShard(dgSpec(), shardOf(kSeed, kTrials, i, shard_count)));
+        shards.push_back(runRecordedShard(i, shard_count));
     if (reverse_merge)
         std::reverse(shards.begin(), shards.end());
     std::string err;
@@ -217,9 +202,7 @@ runPartitioned(std::uint64_t shard_count, bool reverse_merge)
 
 TEST(ShardHistograms, RideTheShardFileExactly)
 {
-    const ObsOn guard;
-    const ShardResult shard =
-        runAnnualShard(dgSpec(), shardOf(kSeed, kTrials, 0, 1));
+    const ShardResult shard = runRecordedShard(0, 1);
     ASSERT_FALSE(shard.histograms.empty());
     ASSERT_NE(shard.histograms.find("campaign.trial_downtime_min"),
               shard.histograms.end());

@@ -50,20 +50,18 @@ lossySpec()
     return spec;
 }
 
-/** Arm tracing for one test; restore a clean disabled state after. */
-struct TracingOn
+/** Shard @p index of @p shards of the lossy campaign on @p threads
+ *  workers, recording into @p evidence. */
+ShardResult
+runLossy(obs::Context &evidence, int threads = 1, std::uint64_t index = 0,
+         std::uint64_t shards = 1)
 {
-    TracingOn()
-    {
-        obs::TraceSink::instance().clear();
-        obs::setEnabled(true);
-    }
-    ~TracingOn()
-    {
-        obs::setEnabled(false);
-        obs::TraceSink::instance().clear();
-    }
-};
+    ShardOptions opts;
+    opts.threads = threads;
+    opts.obs = &evidence;
+    return runAnnualShard(lossySpec(), shardOf(kSeed, kTrials, index, shards),
+                          opts);
+}
 
 /** Build one synthetic event (trial 0 unless overridden). */
 obs::TraceEvent
@@ -282,11 +280,8 @@ TEST(IncidentEngine, RecomputeDebtLandsInThePrevailingCause)
 
 TEST(IncidentEngine, AggregateJsonRoundTrips)
 {
-    const TracingOn guard;
-    ShardOptions opts;
-    opts.threads = 1;
-    const ShardResult shard =
-        runAnnualShard(lossySpec(), shardOf(kSeed, kTrials, 0, 1), opts);
+    obs::Context evidence;
+    const ShardResult shard = runLossy(evidence);
     ASSERT_FALSE(shard.incidents.empty());
 
     const std::string first = aggregateJson(shard.incidents);
@@ -299,12 +294,10 @@ TEST(IncidentEngine, AggregateJsonRoundTrips)
 
 TEST(IncidentForensics, PerCauseMinutesSumExactlyToTrialTotal)
 {
-    const TracingOn guard;
-    ShardOptions opts;
-    opts.threads = 1;
-    runAnnualShard(lossySpec(), shardOf(kSeed, kTrials, 0, 1), opts);
-    const auto report =
-        obs::buildIncidentReport(obs::TraceSink::instance().drain());
+    obs::Context evidence;
+    evidence.keepEvents = true;
+    runLossy(evidence);
+    const auto report = obs::buildIncidentReport(evidence.events());
 
     ASSERT_EQ(report.trials.size(), kTrials);
     double attributed_any = 0.0;
@@ -328,11 +321,10 @@ TEST(IncidentForensics, PerCauseMinutesSumExactlyToTrialTotal)
 
 TEST(IncidentForensics, IncidentIdsAreSequentialPerTrial)
 {
-    const TracingOn guard;
-    ShardOptions opts;
-    opts.threads = 1;
-    runAnnualShard(lossySpec(), shardOf(kSeed, kTrials, 0, 1), opts);
-    const auto events = obs::TraceSink::instance().drain();
+    obs::Context evidence;
+    evidence.keepEvents = true;
+    runLossy(evidence);
+    const auto &events = evidence.events();
 
     std::uint64_t trial = ~0ull;
     std::uint32_t last = 0, outages = 0;
@@ -354,13 +346,8 @@ TEST(IncidentForensics, IncidentIdsAreSequentialPerTrial)
 TEST(IncidentForensics, AggregateBitIdenticalForAnyThreadCount)
 {
     const auto run = [](int threads) {
-        const TracingOn guard;
-        ShardOptions opts;
-        opts.threads = threads;
-        return aggregateJson(
-            runAnnualShard(lossySpec(), shardOf(kSeed, kTrials, 0, 1),
-                           opts)
-                .incidents);
+        obs::Context evidence;
+        return aggregateJson(runLossy(evidence, threads).incidents);
     };
     const std::string serial = run(1);
     EXPECT_FALSE(serial.empty());
@@ -372,13 +359,10 @@ TEST(IncidentForensics, AggregateBitIdenticalForAnyThreadCount)
 TEST(IncidentForensics, AggregateBitIdenticalForAnyShardPartition)
 {
     const auto merged = [](std::uint64_t shards) {
-        const TracingOn guard;
         std::vector<ShardResult> parts;
         for (std::uint64_t i = 0; i < shards; ++i) {
-            ShardOptions opts;
-            opts.threads = 1;
-            parts.push_back(runAnnualShard(
-                lossySpec(), shardOf(kSeed, kTrials, i, shards), opts));
+            obs::Context evidence;
+            parts.push_back(runLossy(evidence, 1, i, shards));
         }
         std::string err;
         const auto m = mergeShards(std::move(parts), nullptr, &err);
@@ -397,11 +381,8 @@ TEST(IncidentForensics, AggregateByteStableAgainstFixture)
     const std::string path =
         std::string(BPSIM_FIXTURE_DIR) + "/incidents_v1.json";
 
-    const TracingOn guard;
-    ShardOptions opts;
-    opts.threads = 1;
-    const ShardResult shard =
-        runAnnualShard(lossySpec(), shardOf(kSeed, kTrials, 0, 1), opts);
+    obs::Context evidence;
+    const ShardResult shard = runLossy(evidence);
     std::string got = aggregateJson(shard.incidents);
     got += '\n';
 
@@ -423,11 +404,8 @@ TEST(IncidentForensics, AggregateByteStableAgainstFixture)
 
 TEST(IncidentForensics, ShardFileCarriesIncidentsAndRoundTrips)
 {
-    const TracingOn guard;
-    ShardOptions opts;
-    opts.threads = 1;
-    const ShardResult shard =
-        runAnnualShard(lossySpec(), shardOf(kSeed, kTrials, 0, 1), opts);
+    obs::Context evidence;
+    const ShardResult shard = runLossy(evidence);
     ASSERT_FALSE(shard.incidents.empty());
 
     std::ostringstream os;

@@ -52,17 +52,6 @@ TEST(Counters, MergeIsAssociativeAndCommutative)
     EXPECT_EQ(all.at("z"), 10u);
 }
 
-TEST(Counters, SubtractCountsFromZeroAndOmitsZeroDeltas)
-{
-    const CounterMap before{{"seen", 10}, {"flat", 4}};
-    const CounterMap after{{"seen", 25}, {"flat", 4}, {"fresh", 3}};
-    const CounterMap delta = obs::subtractCounters(after, before);
-    EXPECT_EQ(delta.size(), 2u);
-    EXPECT_EQ(delta.at("seen"), 15u);
-    EXPECT_EQ(delta.at("fresh"), 3u); // absent from `before` = from 0
-    EXPECT_EQ(delta.find("flat"), delta.end());
-}
-
 TEST(Registry, CounterGaugeTimerRoundTripValues)
 {
     auto &reg = obs::Registry::global();
@@ -89,7 +78,9 @@ TEST(Registry, TimersAccumulateMonotonically)
 {
     auto &reg = obs::Registry::global();
     reg.reset();
-    obs::setEnabled(true);
+    // scope() times only on a thread that is recording a trial.
+    obs::TrialRecord record;
+    const obs::TrialScope recording(0, &record);
     {
         const auto t = obs::scope("t.mono");
     }
@@ -100,7 +91,6 @@ TEST(Registry, TimersAccumulateMonotonically)
         const auto t = obs::scope("t.mono");
     }
     const auto second = reg.timerSnapshot().at("t.mono");
-    obs::setEnabled(false);
     EXPECT_EQ(second.count, 2u);
     EXPECT_GE(second.seconds, first.seconds);
 }
@@ -225,16 +215,17 @@ TEST(ShardCounters, RideShardFilesAndMergeKeyWise)
     spec.config = noDgConfig();
     constexpr std::uint64_t kSeed = 99, kTrials = 32;
 
-    obs::TraceSink::instance().clear();
-    obs::setEnabled(true);
-    const ShardResult whole =
-        runAnnualShard(spec, shardOf(kSeed, kTrials, 0, 1), {});
+    const auto recorded = [&](std::uint64_t index, std::uint64_t count) {
+        obs::Context evidence;
+        ShardOptions opts;
+        opts.obs = &evidence;
+        return runAnnualShard(spec, shardOf(kSeed, kTrials, index, count),
+                              opts);
+    };
+    const ShardResult whole = recorded(0, 1);
     std::vector<ShardResult> halves;
     for (std::uint64_t i = 0; i < 2; ++i)
-        halves.push_back(
-            runAnnualShard(spec, shardOf(kSeed, kTrials, i, 2), {}));
-    obs::setEnabled(false);
-    obs::TraceSink::instance().clear();
+        halves.push_back(recorded(i, 2));
 
     ASSERT_FALSE(whole.counters.empty());
     EXPECT_GT(whole.counters.at("power.outages"), 0u);

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -49,25 +50,6 @@ dgSpec()
     return spec;
 }
 
-/** Arm obs + a sampling cadence; restore the quiet default after. */
-struct SamplingOn
-{
-    explicit SamplingOn(Time cadence)
-    {
-        TimeSeriesSink::instance().clear();
-        obs::TraceSink::instance().clear();
-        obs::setEnabled(true);
-        obs::setSampleCadence(cadence);
-    }
-    ~SamplingOn()
-    {
-        obs::setSampleCadence(0);
-        obs::setEnabled(false);
-        TimeSeriesSink::instance().clear();
-        obs::TraceSink::instance().clear();
-    }
-};
-
 bool
 sameSamples(const std::vector<SignalSample> &a,
             const std::vector<SignalSample> &b)
@@ -84,13 +66,17 @@ sameSamples(const std::vector<SignalSample> &a,
 }
 
 std::vector<SignalSample>
-runSampled(int threads, Time cadence)
+runSampled(int threads, Time cadence,
+           std::uint64_t window = std::numeric_limits<std::uint64_t>::max())
 {
-    const SamplingOn guard(cadence);
+    obs::Context evidence;
+    evidence.sampleCadence = cadence;
+    evidence.sampleTrials = window;
     ShardOptions opts;
     opts.threads = threads;
+    opts.obs = &evidence;
     runAnnualShard(dgSpec(), shardOf(kSeed, kTrials, 0, 1), opts);
-    return TimeSeriesSink::instance().drain();
+    return evidence.samples();
 }
 
 TEST(TimeSeries, SamplerCoversEverySignalAtTheCadence)
@@ -138,12 +124,31 @@ TEST(TimeSeries, ZeroCadenceSchedulesNoSampling)
     EXPECT_TRUE(rows.empty());
 }
 
+TEST(TimeSeries, SampleWindowLimitsTheSampledTrials)
+{
+    constexpr Time kCadence = 24 * kHour;
+    const auto all = runSampled(1, kCadence);
+    const auto windowed = runSampled(4, kCadence, 2);
+    std::vector<SignalSample> want;
+    for (const auto &r : all)
+        if (r.trial < 2)
+            want.push_back(r);
+    ASSERT_FALSE(want.empty());
+    EXPECT_TRUE(sameSamples(windowed, want));
+}
+
 TEST(TimeSeries, EmitIsANoOpWhileDisabled)
 {
-    TimeSeriesSink::instance().clear();
     ASSERT_FALSE(obs::enabled());
+    EXPECT_EQ(obs::sampleCadence(), 0);
     TimeSeriesSink::emit(SignalId::LoadW, 1, 2.0);
-    EXPECT_TRUE(TimeSeriesSink::instance().drain().empty());
+    obs::TrialRecord record;
+    record.sampleCadence = kHour;
+    {
+        const obs::TrialScope scope(0, &record);
+        EXPECT_EQ(obs::sampleCadence(), kHour);
+    }
+    EXPECT_TRUE(record.samples.empty());
 }
 
 TEST(TimeSeriesStore, ChannelsAreContiguousAndSorted)

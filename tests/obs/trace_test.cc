@@ -3,10 +3,10 @@
  * Golden-trace determinism tests for the observability layer: a
  * fixed-seed campaign emits a trace that is byte-identical to a
  * checked-in fixture and byte-identical for ANY worker thread count
- * (the (trial, seq) sort contract of obs::TraceSink::drain). The
+ * (per-trial records folded in trial order by obs::Context). The
  * `obs` ctest label runs these under TSan in CI — the golden
- * comparison doubles as a data-race detector for the per-thread ring
- * buffers.
+ * comparison doubles as a data-race detector for the records'
+ * worker-to-fold hand-off.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 
 #include "campaign/json.hh"
 #include "campaign/shard.hh"
+#include "obs/context.hh"
 #include "core/backup_config.hh"
 #include "obs/obs.hh"
 #include "sim/logging.hh"
@@ -52,31 +53,25 @@ dgSpec()
     return spec;
 }
 
-/** Arm tracing for one test; restore a clean disabled state after. */
-struct TracingOn
+/** Run the fixed campaign on @p threads workers, recording into
+ *  @p evidence (which keeps the events). */
+ShardResult
+runRecorded(int threads, obs::Context &evidence)
 {
-    TracingOn()
-    {
-        obs::TraceSink::instance().clear();
-        obs::setEnabled(true);
-    }
-    ~TracingOn()
-    {
-        obs::setEnabled(false);
-        obs::TraceSink::instance().clear();
-        obs::TraceSink::instance().setMaxEventsPerTrial(65536);
-    }
-};
+    evidence.keepEvents = true;
+    ShardOptions opts;
+    opts.threads = threads;
+    opts.obs = &evidence;
+    return runAnnualShard(dgSpec(), shardOf(kSeed, kTrials, 0, 1), opts);
+}
 
-/** Run the fixed campaign on @p threads workers and drain the trace. */
+/** The fixed campaign's trace on @p threads workers. */
 std::vector<obs::TraceEvent>
 runTraced(int threads)
 {
-    const TracingOn guard;
-    ShardOptions opts;
-    opts.threads = threads;
-    runAnnualShard(dgSpec(), shardOf(kSeed, kTrials, 0, 1), opts);
-    return obs::TraceSink::instance().drain();
+    obs::Context evidence;
+    runRecorded(threads, evidence);
+    return evidence.events();
 }
 
 /** Deterministic Chrome-trace serialization (fixed provenance). */
@@ -179,12 +174,9 @@ TEST(GoldenTrace, EventStreamIsWellFormed)
 
 TEST(GoldenTrace, CountersAgreeWithTraceEvents)
 {
-    const TracingOn guard;
-    ShardOptions opts;
-    opts.threads = 1;
-    const ShardResult shard =
-        runAnnualShard(dgSpec(), shardOf(kSeed, kTrials, 0, 1), opts);
-    const auto events = obs::TraceSink::instance().drain();
+    obs::Context evidence;
+    const ShardResult shard = runRecorded(1, evidence);
+    const auto &events = evidence.events();
 
     std::uint64_t outages = 0, dg_starts = 0;
     for (const auto &ev : events) {
@@ -202,60 +194,53 @@ TEST(GoldenTrace, CountersAgreeWithTraceEvents)
 
 TEST(GoldenTrace, PerTrialCapDropsDeterministically)
 {
-    constexpr std::uint32_t kCap = 4;
-
-    const auto full = runTraced(1);
-    std::vector<obs::TraceEvent> want;
-    for (const auto &ev : full) {
-        if (ev.seq < kCap)
-            want.push_back(ev);
+    // The cap keeps exactly the first kMaxEventsPerTrial emissions of
+    // a trial — seq keeps advancing past the cap, so which events
+    // survive does not depend on anything but the trial itself.
+    constexpr std::uint32_t kExtra = 4;
+    obs::TrialRecord record;
+    {
+        const obs::TrialScope scope(3, &record); // emits trial-start
+        for (std::uint32_t i = 0; i < obs::kMaxEventsPerTrial - 1 + kExtra;
+             ++i)
+            obs::TraceSink::emit(obs::EventKind::Custom, i, "tick");
     }
-
-    const TracingOn guard;
-    obs::TraceSink::instance().setMaxEventsPerTrial(kCap);
-    ShardOptions opts;
-    opts.threads = 1;
-    runAnnualShard(dgSpec(), shardOf(kSeed, kTrials, 0, 1), opts);
-    EXPECT_EQ(obs::TraceSink::instance().droppedEvents(),
-              full.size() - want.size());
-    const auto capped = obs::TraceSink::instance().drain();
-
-    // The cap keeps exactly the first kCap emissions of every trial —
-    // seq keeps advancing past the cap, so which events survive does
-    // not depend on ring occupancy or thread count.
-    ASSERT_EQ(capped.size(), want.size());
-    for (std::size_t i = 0; i < capped.size(); ++i) {
-        EXPECT_EQ(capped[i].trial, want[i].trial);
-        EXPECT_EQ(capped[i].seq, want[i].seq);
-        EXPECT_EQ(capped[i].kind, want[i].kind);
-        EXPECT_EQ(capped[i].simTime, want[i].simTime);
+    ASSERT_EQ(record.events.size(), obs::kMaxEventsPerTrial);
+    EXPECT_EQ(record.seq, obs::kMaxEventsPerTrial + kExtra);
+    for (std::uint32_t i = 0; i < record.events.size(); ++i) {
+        EXPECT_EQ(record.events[i].trial, 3u);
+        ASSERT_EQ(record.events[i].seq, i);
     }
+    EXPECT_EQ(record.events.back().simTime,
+              static_cast<Time>(obs::kMaxEventsPerTrial - 2));
 }
 
 TEST(TrialScope, NestsAndTagsEvents)
 {
-    const TracingOn guard;
+    obs::TrialRecord outer_rec, inner_rec;
     {
-        const obs::TrialScope outer(5);
+        const obs::TrialScope outer(5, &outer_rec);
         obs::TraceSink::emit(obs::EventKind::Custom, 10, "outer-a");
         {
-            const obs::TrialScope inner(7);
+            const obs::TrialScope inner(7, &inner_rec);
             obs::TraceSink::emit(obs::EventKind::Custom, 20, "inner");
         }
         obs::TraceSink::emit(obs::EventKind::Custom, 30, "outer-b");
     }
-    const auto events = obs::TraceSink::instance().drain();
-    // Two TrialStart markers plus the three Custom events.
-    ASSERT_EQ(events.size(), 5u);
+    EXPECT_FALSE(obs::enabled());
+    // Each record holds its TrialStart marker plus its Custom events.
+    const auto &events = outer_rec.events;
+    ASSERT_EQ(events.size(), 3u);
     EXPECT_EQ(events[0].trial, 5u); // trial-start(5)
     EXPECT_EQ(events[1].trial, 5u); // outer-a
     EXPECT_EQ(events[1].seq, 1u);
     EXPECT_EQ(events[2].trial, 5u); // outer-b resumes the outer seq
     EXPECT_EQ(events[2].seq, 2u);
     EXPECT_STREQ(events[2].name, "outer-b");
-    EXPECT_EQ(events[3].trial, 7u); // trial-start(7)
-    EXPECT_EQ(events[4].trial, 7u); // inner
-    EXPECT_EQ(events[4].seq, 1u);
+    ASSERT_EQ(inner_rec.events.size(), 2u);
+    EXPECT_EQ(inner_rec.events[0].trial, 7u); // trial-start(7)
+    EXPECT_EQ(inner_rec.events[1].trial, 7u); // inner
+    EXPECT_EQ(inner_rec.events[1].seq, 1u);
 }
 
 TEST(EventVocabulary, NamesAndCategoriesAreExhaustive)
@@ -283,10 +268,22 @@ TEST(EventVocabulary, NamesAndCategoriesAreExhaustive)
 
 TEST(TraceSink, EmitIsANoOpWhileDisabled)
 {
-    obs::TraceSink::instance().clear();
+    // No record on this thread: emission lands nowhere, and a record
+    // opened afterwards starts clean.
     ASSERT_FALSE(obs::enabled());
     obs::TraceSink::emit(obs::EventKind::Custom, 1, "ignored");
-    EXPECT_TRUE(obs::TraceSink::instance().drain().empty());
+    {
+        const obs::TrialScope unrecorded(1, nullptr);
+        EXPECT_FALSE(obs::enabled());
+        obs::TraceSink::emit(obs::EventKind::Custom, 2, "ignored");
+    }
+    obs::TrialRecord record;
+    {
+        const obs::TrialScope scope(2, &record);
+        EXPECT_TRUE(obs::enabled());
+    }
+    ASSERT_EQ(record.events.size(), 1u);
+    EXPECT_EQ(record.events[0].kind, obs::EventKind::TrialStart);
 }
 
 } // namespace

@@ -152,22 +152,18 @@ TEST(AlertEngine, IncidentResidualSource)
     r.crit = 1.0;
     AlertEngine engine({r});
 
-    obs::IncidentReport report;
-    obs::TrialForensics tf;
-    tf.trial = 0;
-    tf.reportedDowntimeMin = 0.5; // nothing attributed -> residual 0.5
-    report.trials.push_back(tf);
-    auto fired = engine.evaluate(nullptr, nullptr, &report);
+    double residual = 0.5; // minutes the forensics left unattributed
+    auto fired = engine.evaluate(nullptr, nullptr, &residual);
     ASSERT_EQ(fired.size(), 1u);
     EXPECT_EQ(fired[0].to, AlertState::Warning);
 
-    report.trials[0].reportedDowntimeMin = 2.0;
-    fired = engine.evaluate(nullptr, nullptr, &report);
+    residual = 2.0;
+    fired = engine.evaluate(nullptr, nullptr, &residual);
     ASSERT_EQ(fired.size(), 1u);
     EXPECT_EQ(fired[0].to, AlertState::Critical);
 
-    report.trials[0].reportedDowntimeMin = 0.0;
-    fired = engine.evaluate(nullptr, nullptr, &report);
+    residual = 0.0;
+    fired = engine.evaluate(nullptr, nullptr, &residual);
     ASSERT_EQ(fired.size(), 1u);
     EXPECT_EQ(fired[0].to, AlertState::Clear);
 }

@@ -144,21 +144,16 @@ TEST(IncrementalTest, ExtensionAcrossMismatchedBatchAndThreads)
 
 TEST(IncrementalTest, ObsAggregatesSurviveExtension)
 {
-    // With tracing armed the checkpoint also carries histograms and
-    // the incident aggregate; the union (checkpoint + extension) must
+    // A recording run's checkpoint also carries histograms and the
+    // incident aggregate; the union (checkpoint + extension) must
     // equal the fresh run's capture bit for bit.
-    obs::TraceSink::instance().clear();
-    const bool was = obs::enabled();
-    obs::setEnabled(true);
-
     const WhatIfRequest reqK = makeRequest("NoUPS", "throttle", 16, 1, 1);
     const WhatIfRequest reqM = makeRequest("NoUPS", "throttle", 40, 1, 1);
-    const WhatIfExecution base = executeWhatIf(reqK);
-    const WhatIfExecution extended = executeWhatIf(reqM, &base.checkpoint);
-    const WhatIfExecution fresh = executeWhatIf(reqM);
-
-    obs::setEnabled(was);
-    obs::TraceSink::instance().clear();
+    obs::Context baseObs, extendedObs, freshObs;
+    const WhatIfExecution base = executeWhatIf(reqK, nullptr, &baseObs);
+    const WhatIfExecution extended =
+        executeWhatIf(reqM, &base.checkpoint, &extendedObs);
+    const WhatIfExecution fresh = executeWhatIf(reqM, nullptr, &freshObs);
 
     // With the obs layer compiled out (BPSIM_OBS=OFF) there are no
     // histograms to carry; the body/checkpoint equalities still hold.

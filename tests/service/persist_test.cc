@@ -10,10 +10,15 @@
 
 #include "service/service.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <stdlib.h>
 
@@ -106,6 +111,48 @@ TEST(DiskStoreTest, RoundTripsValuesAndCountsLoads)
     // Overwrite is atomic and last-writer-wins.
     ASSERT_TRUE(store.store(key, "v2"));
     EXPECT_EQ(*store.load(key), "v2");
+}
+
+TEST(DiskStoreTest, ConcurrentStoresOfOneKeyLeaveOneIntactValue)
+{
+    // Concurrent misses can store one key at once; every write must
+    // go through its own temp file, so the survivor is one writer's
+    // value, whole, and no temp file is left behind.
+    constexpr int kWriters = 8;
+    TempDir dir;
+    obs::Registry reg;
+    DiskStore store(dir.path, &reg);
+    const std::string key = "ckpt|one-scenario";
+    std::vector<std::string> values;
+    for (int i = 0; i < kWriters; ++i)
+        values.push_back(std::string(1 << 18, static_cast<char>('a' + i)));
+
+    for (int round = 0; round < 4; ++round) {
+        std::atomic<int> ready{0};
+        std::atomic<int> failed{0};
+        std::vector<std::thread> writers;
+        for (int i = 0; i < kWriters; ++i)
+            writers.emplace_back([&, i] {
+                ready.fetch_add(1);
+                while (ready.load() < kWriters)
+                    std::this_thread::yield();
+                if (!store.store(key, values[static_cast<std::size_t>(i)]))
+                    failed.fetch_add(1);
+            });
+        for (auto &w : writers)
+            w.join();
+        EXPECT_EQ(failed.load(), 0) << "round " << round;
+
+        const auto back = store.load(key);
+        ASSERT_TRUE(back.has_value()) << "round " << round;
+        EXPECT_NE(std::find(values.begin(), values.end(), *back),
+                  values.end());
+        for (const auto &entry :
+             std::filesystem::directory_iterator(dir.path))
+            EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+                      std::string::npos)
+                << entry.path();
+    }
 }
 
 TEST(DiskStoreTest, TruncatedFilesAreMisses)
