@@ -168,6 +168,39 @@ BM_AnnualTrialTraced(benchmark::State &state)
 }
 BENCHMARK(BM_AnnualTrialTraced);
 
+/**
+ * One runYear on the campaign-scalar shape (specjbb, DG-SmallPUPS,
+ * Migration, obs off) at range(0) servers. Traces are generated up
+ * front so the lane times the scalar simulator alone; the /128 over
+ * /32 ratio shows how a trial's cost grows with cluster size.
+ */
+void
+BM_AnnualTrialServers(benchmark::State &state)
+{
+    constexpr Time kYear = 365LL * 24 * kHour;
+    const int n_servers = static_cast<int>(state.range(0));
+    const WorkloadProfile profile = specJbbProfile();
+    const TechniqueSpec technique{TechniqueKind::Migration};
+    const BackupConfigSpec config = dgSmallPUpsConfig();
+
+    const auto gen = OutageTraceGenerator::figure1();
+    std::vector<std::vector<OutageEvent>> traces;
+    for (std::uint64_t trial = 0; trial < 64; ++trial) {
+        Rng rng = Rng::stream(42, trial);
+        traces.push_back(gen.generate(rng, kYear));
+    }
+    const AnnualSimulator sim;
+    std::size_t next = 0;
+    for (auto _ : state) {
+        const AnnualResult r = sim.runYear(profile, n_servers, technique,
+                                           config, traces[next]);
+        next = (next + 1) % traces.size();
+        benchmark::DoNotOptimize(r.downtimeMin);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AnnualTrialServers)->Arg(8)->Arg(32)->Arg(128);
+
 } // namespace
 
 BENCHMARK_MAIN();

@@ -7,10 +7,10 @@ namespace bpsim
 
 EventHandle
 EventQueue::push(Time when, EventPriority prio, std::function<void()> fn,
-                 std::string name)
+                 const char *name)
 {
-    auto ev = std::make_shared<Event>(when, prio, nextSeq++, std::move(fn),
-                                      std::move(name));
+    auto ev =
+        std::make_shared<Event>(when, prio, nextSeq++, std::move(fn), name);
     heap.push(Entry{ev});
     return EventHandle(ev);
 }

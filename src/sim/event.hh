@@ -16,7 +16,6 @@
 #include <functional>
 #include <memory>
 #include <queue>
-#include <string>
 #include <vector>
 
 #include "sim/types.hh"
@@ -40,9 +39,9 @@ class Event
 {
   public:
     Event(Time when, EventPriority prio, std::uint64_t seq,
-          std::function<void()> fn, std::string name)
+          std::function<void()> fn, const char *name)
         : when_(when), prio_(prio), seq_(seq), fn_(std::move(fn)),
-          name_(std::move(name))
+          name_(name)
     {}
 
     /** Scheduled execution time. */
@@ -51,8 +50,8 @@ class Event
     EventPriority priority() const { return prio_; }
     /** Monotonic insertion sequence number (tie-breaker). */
     std::uint64_t sequence() const { return seq_; }
-    /** Diagnostic name. */
-    const std::string &name() const { return name_; }
+    /** Diagnostic name (a string literal; never owned). */
+    const char *name() const { return name_; }
     /** True until executed or cancelled. */
     bool pending() const { return pending_; }
 
@@ -74,7 +73,7 @@ class Event
     EventPriority prio_;
     std::uint64_t seq_;
     std::function<void()> fn_;
-    std::string name_;
+    const char *name_;
     bool pending_ = true;
 };
 
@@ -122,7 +121,7 @@ class EventQueue
   public:
     /** Insert an event; returns a cancelable handle. */
     EventHandle push(Time when, EventPriority prio,
-                     std::function<void()> fn, std::string name);
+                     std::function<void()> fn, const char *name);
 
     /** True when no runnable event remains. */
     bool empty();

@@ -7,23 +7,23 @@ namespace bpsim
 {
 
 EventHandle
-Simulator::schedule(Time delay, std::function<void()> fn, std::string name,
+Simulator::schedule(Time delay, std::function<void()> fn, const char *name,
                     EventPriority prio)
 {
     BPSIM_ASSERT(delay >= 0, "negative delay %lld for event '%s'",
-                 static_cast<long long>(delay), name.c_str());
-    return queue.push(now_ + delay, prio, std::move(fn), std::move(name));
+                 static_cast<long long>(delay), name);
+    return queue.push(now_ + delay, prio, std::move(fn), name);
 }
 
 EventHandle
-Simulator::at(Time when, std::function<void()> fn, std::string name,
+Simulator::at(Time when, std::function<void()> fn, const char *name,
               EventPriority prio)
 {
     BPSIM_ASSERT(when >= now_,
                  "event '%s' scheduled in the past (%lld < %lld)",
-                 name.c_str(), static_cast<long long>(when),
+                 name, static_cast<long long>(when),
                  static_cast<long long>(now_));
-    return queue.push(when, prio, std::move(fn), std::move(name));
+    return queue.push(when, prio, std::move(fn), name);
 }
 
 void

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #include "sim/event.hh"
 #include "sim/types.hh"
@@ -37,17 +36,18 @@ class Simulator
      *
      * @param delay   Offset from the current time; must be >= 0.
      * @param fn      Callback to run.
-     * @param name    Diagnostic label used in panic messages.
+     * @param name    Diagnostic label used in panic messages; a string
+     *                literal (the event keeps the pointer).
      * @param prio    Ordering class among same-timestamp events.
      * @return        Handle that can cancel the event.
      */
     EventHandle schedule(Time delay, std::function<void()> fn,
-                         std::string name = "event",
+                         const char *name = "event",
                          EventPriority prio = EventPriority::Normal);
 
     /** Schedule a callback at an absolute time >= now. */
     EventHandle at(Time when, std::function<void()> fn,
-                   std::string name = "event",
+                   const char *name = "event",
                    EventPriority prio = EventPriority::Normal);
 
     /** Run until the queue drains or stop() is called. */

@@ -1,5 +1,7 @@
 #include "workload/cluster.hh"
 
+#include <algorithm>
+
 #include "obs/obs.hh"
 #include "sim/logging.hh"
 
@@ -17,6 +19,16 @@ replicate(const WorkloadProfile &profile, int n)
                                         profile);
 }
 
+/** Set a cached flag, keeping @p count of set flags in step. */
+void
+setFlag(char &flag, bool v, int &count)
+{
+    if (static_cast<bool>(flag) == v)
+        return;
+    flag = v;
+    count += v ? 1 : -1;
+}
+
 } // namespace
 
 Cluster::Cluster(Simulator &sim, PowerHierarchy &hierarchy,
@@ -29,7 +41,10 @@ Cluster::Cluster(Simulator &sim, PowerHierarchy &hierarchy,
 Cluster::Cluster(Simulator &sim, PowerHierarchy &hierarchy,
                  const ServerModel &model,
                  const std::vector<WorkloadProfile> &profiles)
-    : sim(sim), hierarchy(hierarchy), model_(model), profiles_(profiles)
+    : sim(sim), hierarchy(hierarchy), model_(model), profiles_(profiles),
+      power_(profiles.size()), perf_(profiles.size()),
+      active_(profiles.size(), 0), up_(profiles.size(), 0),
+      hosted_(profiles.size()), hostOf_(profiles.size())
 {
     const int n_servers = static_cast<int>(profiles_.size());
     BPSIM_ASSERT(n_servers >= 1, "cluster needs at least one server");
@@ -40,17 +55,14 @@ Cluster::Cluster(Simulator &sim, PowerHierarchy &hierarchy,
         apps_.push_back(std::make_unique<Application>(
             sim, profiles_[static_cast<std::size_t>(i)],
             *servers_.back()));
+        hosted_[i].push_back(i);
+        hostOf_[i] = i;
+        refreshServer(i);
+        refreshApp(i);
     }
     for (int i = 0; i < n_servers; ++i) {
-        Server *srv = servers_[i].get();
-        srv->onChange([this, srv] {
-            for (auto &app : apps_) {
-                if (app->host() == srv)
-                    app->noteHostState();
-            }
-            recompute();
-        });
-        apps_[i]->onChange([this] { recompute(); });
+        servers_[i]->onChange([this, i] { serverChanged(i); });
+        apps_[i]->onChange([this, i] { appChanged(i); });
     }
     hierarchy.addListener(this);
 }
@@ -65,44 +77,85 @@ Cluster::primeSteadyState()
     recompute();
 }
 
+void
+Cluster::refreshServer(int i)
+{
+    const Server &srv = *servers_[i];
+    power_.set(i, srv.powerW());
+    setFlag(active_[i], srv.state() == ServerState::Active, activeCount_);
+}
+
+void
+Cluster::refreshApp(int a)
+{
+    const Application &app = *apps_[a];
+    perf_.set(a, app.perf());
+    setFlag(up_[a], app.available(), upCount_);
+}
+
+void
+Cluster::serverChanged(int i)
+{
+    // An app's terms read its host's state, so every hosted app is
+    // stale too; refresh them all before any of them reacts.
+    refreshServer(i);
+    for (const int a : hosted_[i])
+        refreshApp(a);
+    // Visit the hosted apps in ascending index, re-reading the list
+    // after each: a nested hook may move an app on or off this host,
+    // and the next visit must see that, as a live host() scan would.
+    int last = -1;
+    for (;;) {
+        const auto &list = hosted_[i];
+        const auto next = std::upper_bound(list.begin(), list.end(), last);
+        if (next == list.end())
+            break;
+        last = *next;
+        apps_[last]->noteHostState();
+    }
+    recompute();
+}
+
+void
+Cluster::appChanged(int a)
+{
+    const int h = apps_[a]->host()->id();
+    BPSIM_ASSERT(h >= 0 && h < size() &&
+                     servers_[h].get() == apps_[a]->host(),
+                 "app %d moved to a server outside the cluster", a);
+    if (h != hostOf_[a]) {
+        auto &from = hosted_[hostOf_[a]];
+        from.erase(std::find(from.begin(), from.end(), a));
+        auto &to = hosted_[h];
+        to.insert(std::upper_bound(to.begin(), to.end(), a), a);
+        hostOf_[a] = h;
+    }
+    refreshApp(a);
+    recompute();
+}
+
 Watts
 Cluster::totalPowerW() const
 {
-    Watts total = 0.0;
-    for (const auto &srv : servers_)
-        total += srv->powerW();
-    return total;
+    return power_.total();
 }
 
 double
 Cluster::availability() const
 {
-    double up = 0.0;
-    for (const auto &app : apps_) {
-        if (app->available())
-            up += 1.0;
-    }
-    return up / static_cast<double>(apps_.size());
+    return static_cast<double>(upCount_) / static_cast<double>(size());
 }
 
 int
 Cluster::activeServers() const
 {
-    int n = 0;
-    for (const auto &s : servers_) {
-        if (s->state() == ServerState::Active)
-            ++n;
-    }
-    return n;
+    return activeCount_;
 }
 
 double
 Cluster::aggregatePerf() const
 {
-    double total = 0.0;
-    for (const auto &app : apps_)
-        total += app->perf();
-    return total / static_cast<double>(apps_.size());
+    return perf_.total() / static_cast<double>(size());
 }
 
 Watts

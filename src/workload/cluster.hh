@@ -13,6 +13,8 @@
 #ifndef BPSIM_WORKLOAD_CLUSTER_HH
 #define BPSIM_WORKLOAD_CLUSTER_HH
 
+#include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -106,7 +108,11 @@ class Cluster : public PowerHierarchy::Listener
     /** Sum of per-application extra (recompute) downtime, seconds. */
     double extraDowntimeSec() const;
 
-    /** Re-aggregate power and performance (idempotent). */
+    /**
+     * Re-aggregate power and performance (idempotent). Reads the
+     * cached per-element terms, which every change hook refreshes
+     * before it calls this.
+     */
     void recompute();
 
     /** @name PowerHierarchy::Listener */
@@ -125,6 +131,15 @@ class Cluster : public PowerHierarchy::Listener
 
   private:
     void restartDarkServers();
+    /** Server @p i's change hook: refresh its terms and those of the
+     *  apps it hosts, let those apps react, then re-aggregate. */
+    void serverChanged(int i);
+    /** App @p a's change hook: follow a host move, refresh, re-aggregate. */
+    void appChanged(int a);
+    /** Re-read server @p i's fold terms from the live server. */
+    void refreshServer(int i);
+    /** Re-read app @p a's fold terms from the live application. */
+    void refreshApp(int a);
 
     Simulator &sim;
     PowerHierarchy &hierarchy;
@@ -132,6 +147,63 @@ class Cluster : public PowerHierarchy::Listener
     std::vector<WorkloadProfile> profiles_;
     std::vector<std::unique_ptr<Server>> servers_;
     std::vector<std::unique_ptr<Application>> apps_;
+    /**
+     * Left-to-right sum of one cached term per element. It keeps the
+     * partial sums, so after a change at index j only the terms from
+     * j on are re-added: the same operands in the same order as a
+     * full fold, hence the same bits.
+     */
+    class OrderedSum
+    {
+      public:
+        explicit OrderedSum(std::size_t n)
+            : terms_(n, 0.0), partial_(n + 1, 0.0)
+        {}
+
+        /** Set term @p i. An equal value (also +0 for -0, which no
+         *  sum that starts at +0.0 can tell apart) changes nothing. */
+        void
+        set(std::size_t i, double v)
+        {
+            if (terms_[i] == v)
+                return;
+            terms_[i] = v;
+            stale_ = std::min(stale_, i);
+        }
+
+        /** ((0.0 + t0) + t1) + ... over every term. */
+        double
+        total() const
+        {
+            for (; stale_ < terms_.size(); ++stale_)
+                partial_[stale_ + 1] = partial_[stale_] + terms_[stale_];
+            return partial_.back();
+        }
+
+      private:
+        std::vector<double> terms_;
+        /** partial_[k] = sum of terms [0, k), valid for k <= stale_. */
+        mutable std::vector<double> partial_;
+        mutable std::size_t stale_ = 0;
+    };
+
+    /**
+     * Cached fold terms, one per element in index order. Each equals
+     * the live powerW()/state()/perf()/available() whenever recompute()
+     * reads it: a term is refreshed in its own element's change hook,
+     * before anything re-aggregates.
+     */
+    OrderedSum power_;
+    OrderedSum perf_;
+    std::vector<char> active_;
+    std::vector<char> up_;
+    /** Counts of set active_/up_ flags: a fold adding 1.0 per set
+     *  flag yields exactly this count. */
+    int activeCount_ = 0;
+    int upCount_ = 0;
+    /** App indices each server hosts, ascending; and each app's host. */
+    std::vector<std::vector<int>> hosted_;
+    std::vector<int> hostOf_;
     Timeline perfTl{0.0};
     Timeline availTl{0.0};
     bool autoReboot = true;
