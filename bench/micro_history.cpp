@@ -94,16 +94,15 @@ BENCHMARK(BM_HistoryQueryLttb);
 void
 BM_HistorySampleTick(benchmark::State &state)
 {
-    obs::Registry reg;
+    ServiceOptions opts;
+    opts.evaluateAlerts = false;
+    opts.history.samplerThread = false;
+    CampaignService service(opts);
+    obs::Registry &reg = service.registry();
     for (int i = 0; i < 20; ++i) {
         reg.counter("bench.counter." + std::to_string(i)).add(100);
         reg.gauge("bench.gauge." + std::to_string(i)).set(i * 1.5);
     }
-    ServiceOptions opts;
-    opts.evaluateAlerts = false;
-    opts.history.samplerThread = false;
-    opts.history.registry = &reg;
-    CampaignService service(opts);
     std::uint64_t n = 0;
     for (auto _ : state) {
         // Nudge a counter so every tick folds fresh rates.
@@ -167,14 +166,12 @@ BENCHMARK(BM_ServiceHotCacheHitHistoryOff);
 void
 BM_ServiceSeriesEndpoint(benchmark::State &state)
 {
-    obs::Registry reg;
     ServiceOptions opts;
     opts.evaluateAlerts = false;
     opts.history.samplerThread = false;
-    opts.history.registry = &reg;
     CampaignService service(opts);
     for (int i = 0; i < 240; ++i) {
-        reg.gauge("bench.gauge").set(i * 0.5);
+        service.registry().gauge("bench.gauge").set(i * 0.5);
         service.sampleHistoryOnce();
     }
     HttpRequest req;

@@ -110,8 +110,10 @@ runShard(int argc, char **argv)
     }
     if (count == 0 || index >= count || trials == 0)
         return usage();
+    obs::Registry registry;
     obs::Context evidence;
     evidence.keepEvents = !trace_path.empty();
+    evidence.registry = &registry;
     if (!trace_path.empty() || !metrics_path.empty())
         opts.obs = &evidence;
 
@@ -147,7 +149,7 @@ runShard(int argc, char **argv)
     }
     if (!metrics_path.empty()) {
         std::ofstream os(metrics_path);
-        writeMetricsJson(os, obs::Registry::global(),
+        writeMetricsJson(os, registry,
                          {{"build", buildId()},
                           {"seed", std::to_string(seed)}});
         std::fprintf(stderr, "[wrote metrics to %s]\n",

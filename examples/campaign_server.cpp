@@ -50,8 +50,7 @@ usage(std::FILE *to)
         to,
         "usage: campaign_server [--port N] [--bind ADDR]\n"
         "                       [--port-file FILE] [--cache-entries N]\n"
-        "                       [--cache-dir DIR] [--coalesce on|off]\n"
-        "                       [--ckpt-max-bytes N]\n"
+        "                       [--cache-dir DIR] [--ckpt-max-bytes N]\n"
         "                       [--max-trials N] [--sample-seconds S]\n"
         "                       [--access-log FILE] [--slow-ms N]\n"
         "                       [--request-trace FILE]\n"
@@ -81,8 +80,6 @@ usage(std::FILE *to)
         "  --cache-dir DIR    spill results/checkpoints to DIR and\n"
         "                     reload them after a restart (default "
         "off)\n"
-        "  --coalesce on|off  share one execution across identical\n"
-        "                     concurrent what-ifs (default on)\n"
         "  --ckpt-max-bytes N do not store checkpoints larger than N\n"
         "                     serialized bytes (default 1048576)\n"
         "  --max-trials N     per-query trial budget cap (default "
@@ -144,20 +141,6 @@ main(int argc, char **argv)
             ++i;
         } else if (arg == "--cache-dir" && val) {
             opts.cacheDir = val;
-            ++i;
-        } else if (arg == "--coalesce" && val) {
-            const std::string v = val;
-            if (v == "on") {
-                opts.coalesce = true;
-            } else if (v == "off") {
-                opts.coalesce = false;
-            } else {
-                std::fprintf(stderr, "campaign_server: --coalesce "
-                                     "takes \"on\" or \"off\", got "
-                                     "\"%s\"\n",
-                             v.c_str());
-                return usage(stderr);
-            }
             ++i;
         } else if (arg == "--ckpt-max-bytes" && val) {
             opts.checkpointMaxBytes =

@@ -210,6 +210,9 @@ main(int argc, char **argv)
     // campaign pays nothing for the instrumentation.
     const bool record = !trace_path.empty() || !metrics_path.empty() ||
                         !report_path.empty() || sample_seconds > 0.0;
+    // The whole-sweep --metrics snapshot: every scenario's campaign
+    // publishes into it.
+    obs::Registry registry;
     std::vector<obs::TraceEvent> all_events;
     std::vector<obs::SignalSample> all_samples;
     std::uint64_t trial_base = 0;
@@ -258,6 +261,7 @@ main(int argc, char **argv)
             sample_seconds > 0.0 ? fromSeconds(sample_seconds) : 0;
         evidence.sampleTrials = kSampledTrialsPerConfig;
         evidence.keepEvents = !trace_path.empty() || !report_path.empty();
+        evidence.registry = &registry;
         if (record)
             opts.obs = &evidence;
 
@@ -350,7 +354,7 @@ main(int argc, char **argv)
     }
     if (!metrics_path.empty()) {
         std::ofstream os(metrics_path);
-        writeMetricsJson(os, obs::Registry::global(),
+        writeMetricsJson(os, registry,
                          {{"build", buildId()}, {"seed", "2014"}});
         std::printf("[wrote whole-sweep metrics snapshot to %s; "
                     "per-scenario deltas are in "

@@ -69,6 +69,17 @@ CODE=$(curl -s -o /dev/null -w '%{http_code}' -XPOST "$BASE/v1/whatif" \
        -d '{nope')
 [ "$CODE" = 400 ] || fail "malformed body gave $CODE, want 400"
 
+# An out-of-range field is refused up front, naming the field, and the
+# server stays up.
+CODE=$(curl -s -o "$WORK/range" -w '%{http_code}' -XPOST \
+       "$BASE/v1/whatif" \
+       -d '{"config":"LargeEUPS","technique":{"kind":"throttle","pstate":99}}')
+[ "$CODE" = 400 ] || fail "pstate 99 gave $CODE, want 400"
+grep -q 'pstate' "$WORK/range" || fail "400 body does not name pstate"
+curl -sSf "$BASE/healthz" | grep -q '"status":"ok"' \
+    || fail "healthz not ok after an out-of-range what-if"
+echo "service_smoke: out-of-range what-if refused with 400, server up"
+
 # Alert rules report on both surfaces.
 curl -sSf "$BASE/v1/alerts" | grep -q '"rule":"ups_charge_low"' \
     || fail "alerts JSON missing rule book"

@@ -19,6 +19,13 @@ namespace
 
 constexpr Time kYear = 365LL * 24 * kHour;
 
+/** The registry a recording campaign publishes into (null: none). */
+obs::Registry *
+publishTo(const AnnualCampaignOptions &opts)
+{
+    return opts.obs ? opts.obs->registry : nullptr;
+}
+
 /**
  * Wall-clock + loss-free tail of a campaign run. @p executed is the
  * number of trials this *run* simulated — only the extension width on
@@ -40,11 +47,9 @@ finalizeCampaign(AnnualCampaignSummary &out,
                            ? static_cast<double>(executed) /
                                  out.wallSeconds
                            : 0.0;
-    if (opts.obs) {
-        obs::Registry::global().counter("campaign.trials").add(executed);
-        obs::Registry::global()
-            .gauge("campaign.trials_per_sec")
-            .set(out.trialsPerSec);
+    if (obs::Registry *reg = publishTo(opts)) {
+        reg->counter("campaign.trials").add(executed);
+        reg->gauge("campaign.trials_per_sec").set(out.trialsPerSec);
     }
 }
 
@@ -70,8 +75,9 @@ runTrials(AnnualCampaignSummary &out, const TrialSource &source,
                  static_cast<unsigned long long>(out.trials),
                  static_cast<unsigned long long>(opts.maxTrials));
     const auto t0 = std::chrono::steady_clock::now();
-    const obs::ScopedTimer run_timer(
-        opts.obs ? &obs::Registry::global().timer("campaign.run") : nullptr);
+    obs::Registry *reg = publishTo(opts);
+    const obs::ScopedTimer run_timer(reg ? &reg->timer("campaign.run")
+                                         : nullptr);
     const std::uint64_t start = out.trials;
     out.planned = opts.maxTrials;
     out.seed = opts.seed;

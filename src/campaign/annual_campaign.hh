@@ -124,7 +124,9 @@ struct AnnualCampaignOptions : EarlyStopRule
 
     /**
      * Record this campaign's trials into this context (null = record
-     * nothing). Recording trials run scalar, one TrialScope each.
+     * nothing). Recording trials run scalar, one TrialScope each. The
+     * context's registry, if set, also receives the campaign.trials,
+     * campaign.trials_per_sec and campaign.run metrics.
      */
     obs::Context *obs = nullptr;
 };

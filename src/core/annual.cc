@@ -121,40 +121,4 @@ AnnualSimulator::runYear(const WorkloadProfile &profile, int n_servers,
     return r;
 }
 
-AnnualResult
-AnnualSimulator::runSectionedYear(
-    const std::vector<SectionSpec> &specs,
-    const std::vector<OutageEvent> &events) const
-{
-    Simulator sim;
-    Utility utility(sim);
-    Datacenter dc(sim, utility, ServerModel{}, specs);
-    for (const auto &ev : events) {
-        BPSIM_ASSERT(ev.end() <= kYear, "outage beyond the year");
-        utility.scheduleOutage(ev.start, ev.duration);
-    }
-    sim.runUntil(kYear);
-
-    AnnualResult r;
-    r.outages = static_cast<int>(events.size());
-    r.losses = dc.totalLosses();
-    const double total =
-        static_cast<double>(dc.totalServers());
-    for (int i = 0; i < dc.size(); ++i) {
-        const Section &s = dc.section(i);
-        const double weight =
-            static_cast<double>(s.servers()) / total;
-        const auto &avail = s.cluster().availabilityTimeline();
-        r.downtimeMin +=
-            weight * ((1.0 - avail.average(0, kYear)) *
-                          toMinutes(kYear) +
-                      s.cluster().extraDowntimeSec() / 60.0);
-        r.meanPerf +=
-            weight * s.cluster().perfTimeline().average(0, kYear);
-        r.batteryKwh += joulesToKwh(
-            s.hierarchy().meter().batteryEnergyJ(0, kYear));
-    }
-    return r;
-}
-
 } // namespace bpsim

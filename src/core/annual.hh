@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/analyzer.hh"
-#include "core/datacenter.hh"
 #include "outage/trace.hh"
 
 namespace bpsim
@@ -53,15 +52,6 @@ class AnnualSimulator
                          const TechniqueSpec &technique,
                          const BackupConfigSpec &config,
                          const std::vector<OutageEvent> &events) const;
-
-    /**
-     * One year against a *sectioned* datacenter (Section 7): every
-     * section rides the same outage trace behind its own backup.
-     * Returns server-weighted aggregates.
-     */
-    AnnualResult runSectionedYear(
-        const std::vector<SectionSpec> &specs,
-        const std::vector<OutageEvent> &events) const;
 };
 
 } // namespace bpsim

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/registry.hh"
-
 namespace bpsim
 {
 namespace obs
@@ -41,14 +39,15 @@ Context::fold(TrialRecord &&folded, const IncidentReport &forensics)
 {
     // Take the record over, so its buffers go as soon as it is folded.
     TrialRecord record = std::move(folded);
-    Registry &reg = Registry::global();
     for (const auto &[name, n] : record.counters) {
         deltas_.counters[name] += n;
-        reg.counter(name).add(n);
+        if (registry)
+            registry->counter(name).add(n);
     }
     for (const auto &[name, v] : record.histograms) {
         ++deltas_.histograms[name].buckets[Histogram::bucketIndex(v)];
-        reg.histogram(name).record(v);
+        if (registry)
+            registry->histogram(name).record(v);
     }
     deltas_.incidents.merge(forensics.aggregate);
     for (const TrialForensics &t : forensics.trials)

@@ -13,10 +13,12 @@
  *
  * Everything a Context holds therefore depends on its campaign alone —
  * not on other campaigns, server requests or threads in the process —
- * and is bit-identical for any thread count. fold() also adds each
- * trial's counter increments and histogram values to
- * Registry::global(), so the process-wide totals behind /metrics still
- * advance; nothing reads evidence back from the registry.
+ * and is bit-identical for any thread count. When the owner sets
+ * `registry`, fold() also adds each trial's counter increments and
+ * histogram values to it, and the campaign publishes its campaign.*
+ * totals there, so a server's /metrics or a CLI's --metrics snapshot
+ * advances; nothing reads evidence back from the registry. With no
+ * registry the campaign publishes nothing.
  *
  * A Context observes one campaign run; use a fresh one per run.
  */
@@ -33,6 +35,7 @@
 #include "obs/histogram.hh"
 #include "obs/incident.hh"
 #include "obs/record.hh"
+#include "obs/registry.hh"
 
 namespace bpsim
 {
@@ -71,6 +74,9 @@ class Context
     /** Retain every folded trial's events (for trace exports); when
      *  false only their incident forensics survive the worker. */
     bool keepEvents = false;
+    /** Where folded trials and the campaign's own totals are
+     *  published (not owned); null publishes nothing. */
+    Registry *registry = nullptr;
 
     /** A fresh record for the trial @p offset trials into the run. */
     TrialRecord open(std::uint64_t offset) const;

@@ -55,8 +55,8 @@
 
 /**
  * Add n to counter name_ (a string literal) in the thread's record;
- * the campaign's Context later folds it into its deltas and
- * Registry::global().
+ * the campaign's Context later folds it into its deltas and, when it
+ * has one, its registry.
  */
 #define BPSIM_OBS_COUNTER_ADD(name_, n_)                                \
     do {                                                                \

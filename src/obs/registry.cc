@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "obs/trace.hh"
 
 namespace bpsim
 {
@@ -38,13 +37,6 @@ TimerStat::reset()
 {
     ns_.store(0, std::memory_order_relaxed);
     count_.store(0, std::memory_order_relaxed);
-}
-
-Registry &
-Registry::global()
-{
-    static Registry r;
-    return r;
 }
 
 Counter &
@@ -157,12 +149,6 @@ ScopedTimer::ScopedTimer(TimerStat *stat)
 {
 }
 
-ScopedTimer::ScopedTimer(ScopedTimer &&other) noexcept
-    : stat_(other.stat_), start_(other.start_)
-{
-    other.stat_ = nullptr;
-}
-
 ScopedTimer::~ScopedTimer()
 {
     if (!stat_)
@@ -172,13 +158,6 @@ ScopedTimer::~ScopedTimer()
             std::chrono::steady_clock::now() - start_)
             .count();
     stat_->add(static_cast<std::uint64_t>(ns));
-}
-
-ScopedTimer
-scope(const char *name)
-{
-    return ScopedTimer(enabled() ? &Registry::global().timer(name)
-                                 : nullptr);
 }
 
 } // namespace obs

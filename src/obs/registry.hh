@@ -1,9 +1,11 @@
 /**
  * @file
  * Named runtime metrics: monotonic counters, last-value gauges and
- * accumulating wall-clock timers, owned by a process-wide Registry
- * and snapshotable to plain maps (and, via obs/export.hh, to JSON
- * alongside build/seed provenance).
+ * accumulating wall-clock timers, owned by a Registry and
+ * snapshotable to plain maps (and, via obs/export.hh, to JSON
+ * alongside build/seed provenance). There is no process-wide
+ * registry: each owner (a CampaignService, a CLI tool) holds one and
+ * passes it to what should publish into it.
  *
  * Counters are plain relaxed atomics, so concurrent trial bodies can
  * bump them without coordination; totals are sums of per-trial
@@ -14,8 +16,8 @@
  * `obs`-labeled property tests pin this).
  *
  * References returned by counter()/gauge()/timer() stay valid for the
- * process lifetime (entries are never removed; reset() only zeroes
- * values), so instrumentation sites can cache them in local statics.
+ * registry's lifetime (entries are never removed; reset() only zeroes
+ * values), so instrumentation sites can cache them.
  */
 
 #ifndef BPSIM_OBS_REGISTRY_HH
@@ -101,16 +103,13 @@ struct TimerSnapshot
 };
 
 /**
- * Named metric registry. Instrumentation goes through the process-wide
- * global(); free-standing instances exist for hermetic exporter tests
- * (a local registry's content is exactly what the test put there).
+ * Named metric registry. Its content is exactly what its owner and the
+ * components it was passed to put there.
  */
 class Registry
 {
   public:
     Registry() = default;
-
-    static Registry &global();
 
     /** Find-or-create; the reference is valid forever. */
     Counter &counter(const std::string &name);
@@ -147,34 +146,24 @@ void mergeCounters(std::map<std::string, std::uint64_t> &into,
                    const std::map<std::string, std::uint64_t> &from);
 
 /**
- * RAII wall-clock timer feeding a Registry TimerStat on destruction.
- * Obtain via obs::scope(); inert when constructed with no stat.
+ * RAII wall-clock timer feeding a Registry TimerStat on destruction;
+ * inert when constructed with no stat:
+ *
+ *     const obs::ScopedTimer t(&registry.timer("campaign.run"));
  */
 class ScopedTimer
 {
   public:
     explicit ScopedTimer(TimerStat *stat);
-    ScopedTimer(ScopedTimer &&other) noexcept;
     ~ScopedTimer();
 
     ScopedTimer(const ScopedTimer &) = delete;
     ScopedTimer &operator=(const ScopedTimer &) = delete;
-    ScopedTimer &operator=(ScopedTimer &&) = delete;
 
   private:
     TimerStat *stat_;
     std::chrono::steady_clock::time_point start_;
 };
-
-/**
- * Time the enclosing scope into Registry::global().timer(name):
- *
- *     auto t = bpsim::obs::scope("campaign.run");
- *
- * Returns an inert timer unless the calling thread is recording a
- * trial (obs::enabled()).
- */
-ScopedTimer scope(const char *name);
 
 } // namespace obs
 } // namespace bpsim

@@ -21,7 +21,7 @@ fnv1a64(std::string_view bytes)
 ResultCache::ResultCache(std::size_t maxEntries, obs::Registry *registry,
                          std::string prefix)
     : maxEntries_(maxEntries == 0 ? 1 : maxEntries),
-      registry_(registry != nullptr ? registry : &obs::Registry::global()),
+      registry_(registry),
       prefix_(std::move(prefix))
 {
 }
@@ -36,12 +36,12 @@ ResultCache::get(const std::string &key, bool countMiss)
         if (!countMiss)
             return std::nullopt;
         ++stats_.misses;
-        registry_->counter(prefix_ + ".misses").add(1);
+        count(".misses");
         return std::nullopt;
     }
     lru_.splice(lru_.begin(), lru_, it->second);
     ++stats_.hits;
-    registry_->counter(prefix_ + ".hits").add(1);
+    count(".hits");
     return it->second->value;
 }
 
@@ -78,13 +78,13 @@ ResultCache::put(const std::string &key, std::string value)
         index_.erase(victim.hash);
         lru_.pop_back();
         ++stats_.evictions;
-        registry_->counter(prefix_ + ".evictions").add(1);
+        count(".evictions");
     }
     stats_.valueBytes += value.size();
     lru_.push_front(Entry{h, key, std::move(value)});
     index_[h] = lru_.begin();
     ++stats_.insertions;
-    registry_->counter(prefix_ + ".insertions").add(1);
+    count(".insertions");
     touchCounters();
 }
 
@@ -108,8 +108,17 @@ ResultCache::stats() const
 }
 
 void
+ResultCache::count(const char *suffix)
+{
+    if (registry_ != nullptr)
+        registry_->counter(prefix_ + suffix).add(1);
+}
+
+void
 ResultCache::touchCounters()
 {
+    if (registry_ == nullptr)
+        return;
     registry_->gauge(prefix_ + ".entries")
         .set(static_cast<double>(lru_.size()));
     registry_->gauge(prefix_ + ".value_bytes")

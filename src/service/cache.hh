@@ -58,8 +58,8 @@ class ResultCache
   public:
     /**
      * @p maxEntries bounds the cache (>= 1). @p registry receives the
-     * `<prefix>.*` counters/gauges; defaults to the process-wide
-     * registry, tests pass a local one. @p prefix names this
+     * `<prefix>.*` counters/gauges; null counts nothing (the stats()
+     * totals are kept either way). @p prefix names this
      * instance's metrics — the what-if result cache keeps the
      * historical "service.cache", the checkpoint cache uses
      * "service.ckpt.cache" so the two hit rates stay separable.
@@ -96,6 +96,9 @@ class ResultCache
         std::string value;
     };
 
+    /** Add one to counter prefix + @p suffix (when there is a
+     *  registry). */
+    void count(const char *suffix);
     void touchCounters();
 
     const std::size_t maxEntries_;

@@ -73,12 +73,12 @@ parseLen(const std::string &s, std::size_t &out)
 
 DiskStore::DiskStore(std::string dir, obs::Registry *registry)
     : dir_(std::move(dir)),
-      registry_(registry != nullptr ? registry : &obs::Registry::global())
+      registry_(registry)
 {
     if (dir_.empty())
         return;
     if (::mkdir(dir_.c_str(), 0755) != 0 && errno != EEXIST) {
-        registry_->counter("service.disk.errors").add(1);
+        count("service.disk.errors");
         dir_.clear(); // degrade to a memory-only server
     }
 }
@@ -117,7 +117,7 @@ DiskStore::load(const std::string &key) const
         return std::nullopt;
     std::ifstream is(pathFor(key), std::ios::binary);
     if (!is) {
-        registry_->counter("service.disk.misses").add(1);
+        count("service.disk.misses");
         return std::nullopt;
     }
     std::ostringstream ss;
@@ -127,7 +127,7 @@ DiskStore::load(const std::string &key) const
     // Validate the header line by line; everything after the blank
     // line is payload. Any deviation at all is a corrupt entry.
     const auto corrupt = [this]() -> std::optional<std::string> {
-        registry_->counter("service.disk.corrupt").add(1);
+        count("service.disk.corrupt");
         return std::nullopt;
     };
     const std::size_t header_end = file.find("\n\n");
@@ -159,10 +159,10 @@ DiskStore::load(const std::string &key) const
     if (stored_key != key) {
         // 64-bit address collision: the file is healthy but belongs
         // to a different key. A miss, not corruption.
-        registry_->counter("service.disk.misses").add(1);
+        count("service.disk.misses");
         return std::nullopt;
     }
-    registry_->counter("service.disk.loads").add(1);
+    count("service.disk.loads");
     return value;
 }
 
@@ -182,7 +182,7 @@ DiskStore::store(const std::string &key, const std::string &value) const
     {
         std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
         if (!os) {
-            registry_->counter("service.disk.errors").add(1);
+            count("service.disk.errors");
             return false;
         }
         os << "magic=" << kMagic << '\n'
@@ -195,18 +195,25 @@ DiskStore::store(const std::string &key, const std::string &value) const
            << key << value;
         os.flush();
         if (!os) {
-            registry_->counter("service.disk.errors").add(1);
+            count("service.disk.errors");
             std::remove(tmp.c_str());
             return false;
         }
     }
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        registry_->counter("service.disk.errors").add(1);
+        count("service.disk.errors");
         std::remove(tmp.c_str());
         return false;
     }
-    registry_->counter("service.disk.stores").add(1);
+    count("service.disk.stores");
     return true;
+}
+
+void
+DiskStore::count(const char *name) const
+{
+    if (registry_ != nullptr)
+        registry_->counter(name).add(1);
 }
 
 } // namespace service

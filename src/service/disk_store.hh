@@ -38,8 +38,8 @@ class DiskStore
      * @p dir empty disables the store (every load misses, every store
      * is a no-op). The directory is created if absent; on failure the
      * store disables itself and counts `service.disk.errors`.
-     * @p registry receives the `service.disk.*` counters; defaults to
-     * the process-wide registry.
+     * @p registry receives the `service.disk.*` counters; null counts
+     * nothing.
      */
     explicit DiskStore(std::string dir,
                        obs::Registry *registry = nullptr);
@@ -75,6 +75,9 @@ class DiskStore
     std::size_t fileCount() const;
 
   private:
+    /** Add one to counter @p name (when there is a registry). */
+    void count(const char *name) const;
+
     std::string dir_;
     obs::Registry *const registry_;
 };

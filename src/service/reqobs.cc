@@ -151,10 +151,9 @@ RequestRecord::addSpan(RequestPhase p, std::uint64_t beginNs,
     phaseSeen[i] = true;
 }
 
-RequestObserver::RequestObserver(RequestObsOptions opts)
-    : opts_(std::move(opts)),
-      registry_(opts_.registry != nullptr ? opts_.registry
-                                          : &obs::Registry::global())
+RequestObserver::RequestObserver(RequestObsOptions opts,
+                                 obs::Registry *registry)
+    : opts_(std::move(opts)), registry_(registry)
 {
     if (!opts_.clock) {
         const auto epoch = std::chrono::steady_clock::now();
@@ -163,7 +162,7 @@ RequestObserver::RequestObserver(RequestObsOptions opts)
     if (active() && !opts_.accessLogPath.empty()) {
         logFile_.open(opts_.accessLogPath,
                       std::ios::out | std::ios::app);
-        if (!logFile_.good())
+        if (!logFile_.good() && registry_ != nullptr)
             registry_->counter("service.reqobs.log_errors").add(1);
     }
 }
@@ -249,19 +248,21 @@ void
 RequestObserver::complete(RequestRecord &&rec)
 {
     const std::uint64_t total = rec.endNs - rec.startNs;
-    for (std::size_t i = 0; i < kRequestPhaseCount; ++i) {
-        if (!rec.phaseSeen[i])
-            continue;
-        registry_
-            ->histogram(requestMetricName(
-                rec.endpoint,
-                requestPhaseName(static_cast<RequestPhase>(i)),
-                rec.status))
-            .record(static_cast<double>(rec.phaseNs[i]) * 1e-9);
+    if (registry_ != nullptr) {
+        for (std::size_t i = 0; i < kRequestPhaseCount; ++i) {
+            if (!rec.phaseSeen[i])
+                continue;
+            registry_
+                ->histogram(requestMetricName(
+                    rec.endpoint,
+                    requestPhaseName(static_cast<RequestPhase>(i)),
+                    rec.status))
+                .record(static_cast<double>(rec.phaseNs[i]) * 1e-9);
+        }
+        registry_->histogram(requestMetricName(rec.endpoint, "total",
+                                               rec.status))
+            .record(static_cast<double>(total) * 1e-9);
     }
-    registry_->histogram(requestMetricName(rec.endpoint, "total",
-                                           rec.status))
-        .record(static_cast<double>(total) * 1e-9);
     completed_.fetch_add(1, std::memory_order_relaxed);
 
     const bool slow =

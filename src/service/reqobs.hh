@@ -5,7 +5,7 @@
  * client-supplied ids accepted), span timing of every lifecycle phase
  * (read, parse, cache tiers, checkpoint, campaign, alerts, serialize,
  * write), per-endpoint/per-phase/per-status latency histograms in the
- * obs::Registry, a structured JSON-lines access log with a
+ * service's obs::Registry, a structured JSON-lines access log with a
  * slow-request threshold, a bounded ring of completed requests
  * exportable as Chrome-trace spans (obs::writeSpanTrace), and the
  * in-flight table behind GET /v1/status.
@@ -147,8 +147,6 @@ struct RequestObsOptions
     /** Injectable monotonic nanosecond clock (tests pass a stepping
      *  fake so log/trace bytes are pinned); null = steady_clock. */
     std::function<std::uint64_t()> clock;
-    /** Metric sink; null = obs::Registry::global(). */
-    obs::Registry *registry = nullptr;
 };
 
 /** One timed span within a request. */
@@ -226,7 +224,10 @@ class RequestObserver
      *  compiled out the observer is inert beyond ids + in-flight. */
     static constexpr bool kCompiledIn = BPSIM_OBS_ENABLED != 0;
 
-    explicit RequestObserver(RequestObsOptions opts = {});
+    /** @p registry receives the request histograms and the
+     *  service.reqobs.* counters; null records none of them. */
+    explicit RequestObserver(RequestObsOptions opts = {},
+                             obs::Registry *registry = nullptr);
 
     /** Span timing / histograms / log / trace ring armed? */
     bool active() const { return kCompiledIn && opts_.enabled; }

@@ -19,16 +19,24 @@ namespace service
 namespace
 {
 
-/** The response for a memory-tier hit on @p keyhex. */
+/**
+ * A what-if response for @p keyhex with its cache outcome: "hit",
+ * "miss" or "coalesced", and for a hit the tier that served it. Sets
+ * the X-Bpsim-Key/-Cache/-Cache-Tier headers and the track's cache
+ * and tier alike, so the log line always matches the headers.
+ */
 HttpResponse
-memoryHit(const char *keyhex, std::string body, RequestTrack &track)
+whatIfResponse(const char *keyhex, RequestTrack &track, const char *cache,
+               const char *tier, std::string body)
 {
-    track.setCache("hit");
-    track.setTier("memory");
+    track.setCache(cache);
     HttpResponse resp;
     resp.headers.emplace_back("X-Bpsim-Key", keyhex);
-    resp.headers.emplace_back("X-Bpsim-Cache", "hit");
-    resp.headers.emplace_back("X-Bpsim-Cache-Tier", "memory");
+    resp.headers.emplace_back("X-Bpsim-Cache", cache);
+    if (tier != nullptr) {
+        track.setTier(tier);
+        resp.headers.emplace_back("X-Bpsim-Cache-Tier", tier);
+    }
     resp.body = std::move(body);
     return resp;
 }
@@ -47,11 +55,11 @@ historyConfig(const HistoryOptions &h)
 
 CampaignService::CampaignService(ServiceOptions opts)
     : opts_(opts),
-      cache_(opts.cacheEntries),
-      ckptCache_(opts.cacheEntries, nullptr, "service.ckpt.cache"),
-      disk_(opts.cacheDir),
+      cache_(opts.cacheEntries, &registry_),
+      ckptCache_(opts.cacheEntries, &registry_, "service.ckpt.cache"),
+      disk_(opts.cacheDir, &registry_),
       alerts_(defaultAlertRules()),
-      reqobs_(opts.reqobs),
+      reqobs_(opts.reqobs, &registry_),
       bootNs_(reqobs_.nowNs()),
       history_(historyConfig(opts.history)),
       http_(HttpServer::TimedHandler(
@@ -98,16 +106,16 @@ CampaignService::handle(const HttpRequest &req)
 HttpResponse
 CampaignService::handle(const HttpRequest &req, HttpConnectionIo *io)
 {
-    requestsServed_.fetch_add(1, std::memory_order_relaxed);
-    obs::Registry::global().counter("service.requests").add(1);
+    registry_.counter("service.requests").add(1);
 
+    const Endpoint ep = endpointOf(req.target);
     const std::string *cid = req.header("x-bpsim-request-id");
-    RequestTrack track(&reqobs_, endpointOf(req.target), req.method,
+    RequestTrack track(&reqobs_, ep, req.method,
                        cid != nullptr ? *cid : std::string(),
                        io != nullptr ? io->bytesIn : req.body.size(),
                        io != nullptr ? io->readNs : 0);
 
-    HttpResponse resp = route(req, track);
+    HttpResponse resp = route(req, ep, track);
     resp.headers.emplace_back("X-Bpsim-Request-Id", track.publicId());
     // Snapshots must never be cached stale by a scraper or the
     // dashboard poller; one header on every response keeps the
@@ -127,205 +135,145 @@ CampaignService::handle(const HttpRequest &req, HttpConnectionIo *io)
 }
 
 HttpResponse
-CampaignService::route(const HttpRequest &req, RequestTrack &track)
+CampaignService::route(const HttpRequest &req, Endpoint ep,
+                       RequestTrack &track)
 {
-    // Dispatch on the path alone: /v1/series carries its query in the
-    // target ("/v1/series?name=...").
-    const std::string path = targetPath(req.target);
-    if (path == "/v1/whatif") {
-        if (req.method != "POST")
-            return httpError(405, "use POST for /v1/whatif");
+    if (ep == Endpoint::Other) {
+        registry_.counter("service.errors").add(1);
+        return httpError(404, "no such endpoint: " + req.target);
+    }
+    const char *method =
+        ep == Endpoint::WhatIf || ep == Endpoint::Shutdown ? "POST" : "GET";
+    if (req.method != method)
+        return httpError(405, std::string("use ") + method + " for " +
+                                  targetPath(req.target));
+    if (ep == Endpoint::WhatIf)
         return handleWhatIf(req, track);
-    }
-    if (path == "/v1/alerts") {
-        if (req.method != "GET")
-            return httpError(405, "use GET for /v1/alerts");
-        const auto s = track.span(RequestPhase::Serialize);
+    if (ep == Endpoint::Shutdown)
+        return handleShutdown();
+
+    // Every GET endpoint renders a snapshot.
+    const auto s = track.span(RequestPhase::Serialize);
+    switch (ep) {
+    case Endpoint::Alerts:
         return handleAlerts();
-    }
-    if (path == "/metrics") {
-        if (req.method != "GET")
-            return httpError(405, "use GET for /metrics");
-        const auto s = track.span(RequestPhase::Serialize);
+    case Endpoint::Metrics:
         return handleMetrics();
-    }
-    if (path == "/healthz") {
-        if (req.method != "GET")
-            return httpError(405, "use GET for /healthz");
-        const auto s = track.span(RequestPhase::Serialize);
+    case Endpoint::Healthz:
         return handleHealthz();
-    }
-    if (path == "/v1/status") {
-        if (req.method != "GET")
-            return httpError(405, "use GET for /v1/status");
-        const auto s = track.span(RequestPhase::Serialize);
+    case Endpoint::Status:
         return handleStatus();
-    }
-    if (path == "/v1/series") {
-        if (req.method != "GET")
-            return httpError(405, "use GET for /v1/series");
-        const auto s = track.span(RequestPhase::Serialize);
+    case Endpoint::Series:
         return handleSeries(req);
-    }
-    if (path == "/v1/alerts/history") {
-        if (req.method != "GET")
-            return httpError(405, "use GET for /v1/alerts/history");
-        const auto s = track.span(RequestPhase::Serialize);
+    case Endpoint::AlertHistory:
         return handleAlertHistory();
-    }
-    if (path == "/dashboard") {
-        if (req.method != "GET")
-            return httpError(405, "use GET for /dashboard");
-        const auto s = track.span(RequestPhase::Serialize);
+    default:
         return handleDashboard();
     }
-    if (path == "/v1/shutdown") {
-        if (req.method != "POST")
-            return httpError(405, "use POST for /v1/shutdown");
-        return handleShutdown();
-    }
-    obs::Registry::global().counter("service.errors").add(1);
-    return httpError(404, "no such endpoint: " + req.target);
 }
 
 HttpResponse
-CampaignService::handleWhatIf(const HttpRequest &req,
-                              RequestTrack &track)
+CampaignService::handleWhatIf(const HttpRequest &req, RequestTrack &track)
 {
+    WhatIf w(track);
+    if (auto refused = parse(req, w))
+        return std::move(*refused);
+    if (auto hit = memoryTier(w))
+        return std::move(*hit);
+    return flight(w);
+}
+
+std::optional<HttpResponse>
+CampaignService::parse(const HttpRequest &req, WhatIf &w)
+{
+    const auto s = w.track.span(RequestPhase::Parse);
+    std::string err;
+    const auto body = parseJson(req.body, &err);
     std::optional<WhatIfRequest> request;
-    std::string key;
-    char keyhex[24];
-    {
-        const auto s = track.span(RequestPhase::Parse);
-        std::string err;
-        const auto body = parseJson(req.body, &err);
-        if (!body) {
-            obs::Registry::global().counter("service.errors").add(1);
-            return httpError(400, "malformed JSON: " + err);
-        }
+    if (body)
         request = parseWhatIfRequest(*body, &err, opts_.limits);
-        if (!request) {
-            obs::Registry::global().counter("service.errors").add(1);
-            return httpError(400, err);
-        }
-        key = canonicalCacheKey(*request);
-        std::snprintf(keyhex, sizeof keyhex, "%016llx",
-                      static_cast<unsigned long long>(fnv1a64(key)));
+    if (!request) {
+        registry_.counter("service.errors").add(1);
+        return httpError(400, body ? err : "malformed JSON: " + err);
     }
+    w.request = std::move(*request);
+    w.key = canonicalCacheKey(w.request);
+    std::snprintf(w.keyhex, sizeof w.keyhex, "%016llx",
+                  static_cast<unsigned long long>(fnv1a64(w.key)));
+    return std::nullopt;
+}
 
-    // Memory hits skip the flight table and the campaign lock
-    // (ResultCache is thread-safe), so a hit never waits behind a
-    // running miss or coalesces behind another hit. An absent key is
-    // left uncounted: computeWhatIf's re-check counts the one miss,
-    // and a flight's followers count nothing.
-    {
-        const auto s = track.span(RequestPhase::CacheMem);
-        if (auto hit = cache_.get(key, /*countMiss=*/false))
-            return memoryHit(keyhex, std::move(*hit), track);
-    }
+std::optional<HttpResponse>
+CampaignService::memoryTier(WhatIf &w)
+{
+    // Memory hits skip the flight table (ResultCache is thread-safe),
+    // so a hit never waits behind a running miss or coalesces behind
+    // another hit. An absent key is left uncounted: the leader's
+    // re-check counts the one miss, and a flight's followers count
+    // nothing.
+    const auto s = w.track.span(RequestPhase::CacheMem);
+    if (auto body = cache_.get(w.key, /*countMiss=*/false))
+        return whatIfResponse(w.keyhex, w.track, "hit", "memory",
+                              std::move(*body));
+    return std::nullopt;
+}
 
-    if (!opts_.coalesce)
-        return computeWhatIf(*request, key, keyhex, track);
-
+HttpResponse
+CampaignService::flight(WhatIf &w)
+{
     // Single-flight: the first request for a key leads and executes;
     // identical concurrent requests park on the flight and copy its
-    // response. Parse errors never get here (no key, nothing to
-    // share), so every flight publishes a well-formed response.
-    std::shared_ptr<Flight> flight;
+    // body. Parse errors never get here (no key, nothing to share),
+    // so every flight lands a 200 what-if body.
+    std::promise<std::string> landed;
+    Flight flight;
     bool leader = false;
     {
         std::lock_guard<std::mutex> lk(inflight_m_);
-        auto it = inflight_.find(key);
-        if (it == inflight_.end()) {
-            flight = std::make_shared<Flight>();
-            flight->leaderId = track.id();
-            inflight_.emplace(key, flight);
-            leader = true;
-        } else {
-            flight = it->second;
-        }
+        auto [it, fresh] = inflight_.try_emplace(w.key);
+        if (fresh)
+            it->second = {w.track.id(), landed.get_future().share()};
+        flight = it->second;
+        leader = fresh;
     }
 
     if (!leader) {
-        obs::Registry::global().counter("service.coalesced").add(1);
-        track.setCache("coalesced");
-        track.setCoalescedInto(flight->leaderId);
-        std::unique_lock<std::mutex> lk(inflight_m_);
+        registry_.counter("service.coalesced").add(1);
+        w.track.setCoalescedInto(flight.leaderId);
         {
-            const auto s = track.span(RequestPhase::Wait);
+            const auto s = w.track.span(RequestPhase::Wait);
             coalesceWaiters_.fetch_add(1, std::memory_order_acq_rel);
-            inflight_cv_.wait(lk, [&flight] { return flight->done; });
+            flight.body.wait();
             coalesceWaiters_.fetch_sub(1, std::memory_order_acq_rel);
         }
-        HttpResponse resp;
-        resp.status = flight->status;
-        if (!flight->contentType.empty())
-            resp.contentType = flight->contentType;
-        resp.headers.emplace_back("X-Bpsim-Key", keyhex);
-        resp.headers.emplace_back("X-Bpsim-Cache", "coalesced");
-        resp.body = flight->body;
-        return resp;
+        return whatIfResponse(w.keyhex, w.track, "coalesced", nullptr,
+                              flight.body.get());
     }
 
-    const HttpResponse resp = computeWhatIf(*request, key, keyhex, track);
+    const HttpResponse resp = lead(w);
     {
         std::lock_guard<std::mutex> lk(inflight_m_);
-        flight->status = resp.status;
-        flight->contentType = resp.contentType;
-        flight->body = resp.body;
-        flight->done = true;
-        inflight_.erase(key);
+        inflight_.erase(w.key);
     }
-    inflight_cv_.notify_all();
+    landed.set_value(resp.body);
     return resp;
 }
 
 HttpResponse
-CampaignService::computeWhatIf(const WhatIfRequest &request,
-                               const std::string &key,
-                               const char *keyhex,
-                               RequestTrack &track)
+CampaignService::lead(WhatIf &w)
 {
-    // Re-check unspanned (handleWhatIf timed the memory lookup): a
-    // result cached since then, say by a flight that just landed,
-    // must not be recomputed.
-    if (auto hit = cache_.get(key))
-        return memoryHit(keyhex, std::move(*hit), track);
+    // A result cached since memoryTier looked, say by a flight that
+    // just landed, must not be recomputed.
+    if (auto body = cache_.get(w.key))
+        return whatIfResponse(w.keyhex, w.track, "hit", "memory",
+                              std::move(*body));
     if (opts_.testBeforeCampaign)
         opts_.testBeforeCampaign();
+    if (auto hit = diskTier(w))
+        return std::move(*hit);
 
-    HttpResponse resp;
-    resp.headers.emplace_back("X-Bpsim-Key", keyhex);
-    {
-        const auto s = track.span(RequestPhase::CacheDisk);
-        if (auto spilled = disk_.load(key)) {
-            // Warm restart: promote the spilled result so the next
-            // hit is a map lookup again.
-            cache_.put(key, *spilled);
-            track.setCache("hit");
-            track.setTier("disk");
-            resp.headers.emplace_back("X-Bpsim-Cache", "hit");
-            resp.headers.emplace_back("X-Bpsim-Cache-Tier", "disk");
-            resp.body = std::move(*spilled);
-            return resp;
-        }
-    }
-    track.setCache("miss");
-
-    // A full miss still need not simulate from trial 0: a checkpoint
-    // stored under the budget-wildcarded base key covers any earlier
-    // budget for this exact scenario.
-    const std::string ckpt_key = "ckpt|" + canonicalBaseKey(request);
-    std::optional<CampaignCheckpoint> from;
-    {
-        const auto s = track.span(RequestPhase::Checkpoint);
-        if (auto text = ckptCache_.get(ckpt_key)) {
-            from = readCheckpointJson(*text);
-        } else if (auto spilled = disk_.load(ckpt_key)) {
-            if ((from = readCheckpointJson(*spilled)))
-                ckptCache_.put(ckpt_key, *spilled);
-        }
-    }
+    const std::string ckpt_key = "ckpt|" + canonicalBaseKey(w.request);
+    const std::optional<CampaignCheckpoint> from = checkpoint(w, ckpt_key);
 
     // The alert evidence is this campaign's own recording, whatever
     // else runs in the process.
@@ -334,59 +282,76 @@ CampaignService::computeWhatIf(const WhatIfRequest &request,
         evidence.emplace();
         evidence->sampleCadence = opts_.alertSampleCadence;
         evidence->sampleTrials = opts_.alertSampleTrials;
+        evidence->registry = &registry_;
     }
 
-    std::optional<WhatIfExecution> run;
-    {
-        const auto s = track.span(RequestPhase::Campaign);
-        run = executeWhatIf(request, from ? &*from : nullptr,
-                            evidence ? &*evidence : nullptr);
-    }
-    const WhatIfExecution &ex = *run;
-    obs::Registry::global().counter("service.whatif.campaigns").add(1);
-    resp.headers.emplace_back("X-Bpsim-Cache", "miss");
-    if (ex.resumed) {
-        obs::Registry::global().counter("service.whatif.resumed").add(1);
-        track.setResumedFrom(ex.startTrial);
+    const WhatIfExecution ex = execute(w, from ? &*from : nullptr,
+                                       evidence ? &*evidence : nullptr);
+    HttpResponse resp =
+        whatIfResponse(w.keyhex, w.track, "miss", nullptr, ex.body);
+    if (ex.resumed)
         resp.headers.emplace_back("X-Bpsim-Resumed-From",
                                   std::to_string(ex.startTrial));
-    }
-
-    {
-        const auto s = track.span(RequestPhase::Serialize);
-        cache_.put(key, ex.body);
-        disk_.store(key, ex.body);
-        resp.body = ex.body;
-        storeCheckpoint(ckpt_key, ex.checkpoint);
-    }
-
-    if (evidence) {
-        const auto sp = track.span(RequestPhase::Alerts);
-        const auto store =
-            obs::TimeSeriesStore::fromSamples(evidence->samples());
-        const double residual = evidence->maxResidualMin();
-        const auto fired = alerts_.evaluate(
-            &store, &evidence->deltas().counters, &residual);
-        alerts_.exportTo(obs::Registry::global());
-        if (!fired.empty()) {
-            obs::Registry::global()
-                .counter("service.alerts.transitions")
-                .add(fired.size());
-            // Timestamp with the leading request's admission time —
-            // already read at admission, so retaining history costs
-            // no clock call and stays byte-deterministic under the
-            // stepping fake clock.
-            if (historyActive())
-                appendAlertHistory(track.startNs(), fired);
-        }
-    }
+    store(w, ckpt_key, ex);
+    if (evidence)
+        raiseAlerts(w, *evidence);
     return resp;
 }
 
-void
-CampaignService::storeCheckpoint(const std::string &ckptKey,
-                                 const CampaignCheckpoint &ck)
+std::optional<HttpResponse>
+CampaignService::diskTier(WhatIf &w)
 {
+    const auto s = w.track.span(RequestPhase::CacheDisk);
+    auto spilled = disk_.load(w.key);
+    if (!spilled)
+        return std::nullopt;
+    // Warm restart: promote the spilled result so the next hit is a
+    // map lookup again.
+    cache_.put(w.key, *spilled);
+    return whatIfResponse(w.keyhex, w.track, "hit", "disk",
+                          std::move(*spilled));
+}
+
+std::optional<CampaignCheckpoint>
+CampaignService::checkpoint(WhatIf &w, const std::string &ckptKey)
+{
+    // A full miss still need not simulate from trial 0: a checkpoint
+    // stored under the budget-wildcarded base key covers any earlier
+    // budget for this exact scenario.
+    const auto s = w.track.span(RequestPhase::Checkpoint);
+    if (auto text = ckptCache_.get(ckptKey))
+        return readCheckpointJson(*text);
+    auto spilled = disk_.load(ckptKey);
+    if (!spilled)
+        return std::nullopt;
+    auto from = readCheckpointJson(*spilled);
+    if (from)
+        ckptCache_.put(ckptKey, std::move(*spilled));
+    return from;
+}
+
+WhatIfExecution
+CampaignService::execute(WhatIf &w, const CampaignCheckpoint *from,
+                         obs::Context *evidence)
+{
+    const auto s = w.track.span(RequestPhase::Campaign);
+    WhatIfExecution ex = executeWhatIf(w.request, from, evidence);
+    registry_.counter("service.whatif.campaigns").add(1);
+    if (ex.resumed) {
+        registry_.counter("service.whatif.resumed").add(1);
+        w.track.setResumedFrom(ex.startTrial);
+    }
+    return ex;
+}
+
+void
+CampaignService::store(WhatIf &w, const std::string &ckptKey,
+                       const WhatIfExecution &ex)
+{
+    const auto s = w.track.span(RequestPhase::Serialize);
+    cache_.put(w.key, ex.body);
+    disk_.store(w.key, ex.body);
+
     // Compare-and-store against what is stored now, not what this
     // miss read before its campaign: a concurrent miss of the same
     // scenario may have stored a deeper trajectory since, and a
@@ -397,18 +362,38 @@ CampaignService::storeCheckpoint(const std::string &ckptKey,
         stored = disk_.load(ckptKey);
     if (stored) {
         const auto current = readCheckpointJson(*stored);
-        if (current && current->trials >= ck.trials)
+        if (current && current->trials >= ex.checkpoint.trials)
             return;
     }
     std::ostringstream os;
-    writeCheckpointJson(os, ck);
+    writeCheckpointJson(os, ex.checkpoint);
     std::string text = os.str();
     if (text.size() > opts_.checkpointMaxBytes) {
-        obs::Registry::global().counter("service.ckpt.oversize").add(1);
+        registry_.counter("service.ckpt.oversize").add(1);
         return;
     }
     disk_.store(ckptKey, text);
     ckptCache_.put(ckptKey, std::move(text));
+}
+
+void
+CampaignService::raiseAlerts(WhatIf &w, const obs::Context &evidence)
+{
+    const auto s = w.track.span(RequestPhase::Alerts);
+    const auto series =
+        obs::TimeSeriesStore::fromSamples(evidence.samples());
+    const double residual = evidence.maxResidualMin();
+    const auto fired =
+        alerts_.evaluate(&series, &evidence.deltas().counters, &residual);
+    alerts_.exportTo(registry_);
+    if (fired.empty())
+        return;
+    registry_.counter("service.alerts.transitions").add(fired.size());
+    // Timestamp with the leading request's admission time — already
+    // read at admission, so retaining history costs no clock call and
+    // stays byte-deterministic under the stepping fake clock.
+    if (historyActive())
+        appendAlertHistory(w.track.startNs(), fired);
 }
 
 void
@@ -433,14 +418,13 @@ CampaignService::handleAlerts() const
 }
 
 HttpResponse
-CampaignService::handleMetrics() const
+CampaignService::handleMetrics()
 {
     // Refresh the ALERTS-style gauges so a scrape always sees the
     // current rule states, then render the whole registry.
-    alerts_.exportTo(obs::Registry::global());
+    alerts_.exportTo(registry_);
     std::ostringstream os;
-    writeOpenMetrics(os, obs::Registry::global(),
-                     {{"build", buildId()}});
+    writeOpenMetrics(os, registry_, {{"build", buildId()}});
     HttpResponse resp;
     resp.contentType =
         "application/openmetrics-text; version=1.0.0; charset=utf-8";
@@ -460,8 +444,7 @@ CampaignService::handleHealthz()
     w.field("buildId", buildId());
     w.field("uptime_seconds",
             static_cast<double>(now - bootNs_) * 1e-9);
-    w.field("requests",
-            requestsServed_.load(std::memory_order_relaxed));
+    w.field("requests", registry_.counter("service.requests").value());
     w.field("cache_entries",
             static_cast<std::uint64_t>(cache_.stats().entries));
     w.endObject();
@@ -491,7 +474,7 @@ CampaignService::handleStatus()
     w.field("uptime_seconds",
             static_cast<double>(now - bootNs_) * 1e-9);
     w.field("requests_total",
-            requestsServed_.load(std::memory_order_relaxed));
+            registry_.counter("service.requests").value());
     w.field("flight_depth",
             static_cast<std::uint64_t>(flight_depth));
     w.field("coalesce_waiters", coalesceWaiters());
@@ -786,14 +769,6 @@ CampaignService::handleDashboard() const
     return resp;
 }
 
-obs::Registry &
-CampaignService::historyRegistry() const
-{
-    return opts_.history.registry != nullptr
-               ? *opts_.history.registry
-               : obs::Registry::global();
-}
-
 void
 CampaignService::sampleHistoryOnce()
 {
@@ -830,21 +805,20 @@ CampaignService::sampleHistoryOnce()
         history_.record(base + ":rate", now, r);
     };
 
-    obs::Registry &reg = historyRegistry();
     // Refresh the ALERTS-style gauges first so the alert panel tracks
     // rule state at sample resolution, not scrape resolution.
-    alerts_.exportTo(reg);
+    alerts_.exportTo(registry_);
 
-    for (const auto &[name, value] : reg.counterSnapshot())
+    for (const auto &[name, value] : registry_.counterSnapshot())
         rate(name, static_cast<double>(value));
-    for (const auto &[name, value] : reg.gaugeSnapshot())
+    for (const auto &[name, value] : registry_.gaugeSnapshot())
         history_.record(name, now, value);
 
     // Request histograms are label-encoded per endpoint/phase/status;
     // the history tracks the merged family (bucket-wise addition is
     // exact) as quantiles plus a completion rate.
     std::map<std::string, obs::HistogramSnapshot> families;
-    for (const auto &[name, snap] : reg.histogramSnapshot()) {
+    for (const auto &[name, snap] : registry_.histogramSnapshot()) {
         const std::size_t bar = name.find('|');
         std::map<std::string, obs::HistogramSnapshot> one;
         one.emplace(bar == std::string::npos ? name

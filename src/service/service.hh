@@ -12,7 +12,7 @@
  *                      been computed before; the X-Bpsim-Cache
  *                      header says "hit" or "miss".
  *   GET  /v1/alerts    current alert-rule states as JSON.
- *   GET  /metrics      OpenMetrics exposition of the process-wide
+ *   GET  /metrics      OpenMetrics exposition of the service's own
  *                      registry, including the ALERTS-style
  *                      alert.<rule>.state gauges.
  *   GET  /healthz      liveness probe.
@@ -35,7 +35,10 @@
  * running campaign; a request that misses re-checks the cache before
  * computing, so each request counts at most one hit or miss.
  *
- * Three layers sit in front of the campaign (docs/SERVICE.md):
+ * A what-if runs one pipeline of stages over one per-request state
+ * (docs/SERVICE.md "Request flow"): parse -> memory tier -> flight ->
+ * disk tier -> checkpoint -> execute -> store -> alerts. Three of
+ * them sit in front of the campaign:
  *
  *   - Single-flight coalescing: identical concurrent what-ifs share
  *     one execution. The first request leads; the rest park on the
@@ -58,9 +61,10 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <future>
 #include <map>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -105,8 +109,6 @@ struct HistoryOptions
     /** Alert transitions retained for GET /v1/alerts/history; older
      *  entries are dropped (and counted). */
     std::size_t alertEventCapacity = 1024;
-    /** Metric source to sample; null = obs::Registry::global(). */
-    obs::Registry *registry = nullptr;
 };
 
 /** One retained alert transition (GET /v1/alerts/history). */
@@ -139,17 +141,15 @@ struct ServiceOptions
      *  counted from the first trial the campaign simulates (the
      *  Context's sample window; bounds memory). */
     std::uint64_t alertSampleTrials = 4;
-    /** Coalesce identical in-flight what-ifs into one execution. */
-    bool coalesce = true;
     /** Spill results and checkpoints here; empty = memory only. */
     std::string cacheDir;
     /** Checkpoints whose serialized form exceeds this are not stored
      *  (the campaign still runs; only reuse is forfeited). */
     std::size_t checkpointMaxBytes = 1u << 20;
     /**
-     * Test hook: invoked by a request that missed the memory cache,
-     * before the disk, checkpoint and campaign steps (for a
-     * coalescing leader: after it claimed the flight). Lets tests
+     * Test hook: invoked by a flight's leader once its memory-cache
+     * re-check missed, before the disk, checkpoint and campaign
+     * stages. Lets tests
      * hold a miss while followers park, hits arrive or other misses
      * run. Never set in production.
      */
@@ -190,6 +190,9 @@ class CampaignService
     HttpResponse handle(const HttpRequest &req);
     HttpResponse handle(const HttpRequest &req, HttpConnectionIo *io);
 
+    /** The service's metrics: what /metrics renders and the history
+     *  sampler reads. */
+    obs::Registry &registry() { return registry_; }
     ResultCache &cache() { return cache_; }
     ResultCache &checkpointCache() { return ckptCache_; }
     const DiskStore &disk() const { return disk_; }
@@ -206,7 +209,7 @@ class CampaignService
 
     /**
      * Take one history sample: read the shared clock once, then fold
-     * the registry (counters as rates, gauges raw, request-histogram
+     * registry() (counters as rates, gauges raw, request-histogram
      * family quantiles), cache/flight depths and alert states into the
      * tiered store. The sampler thread calls this every cadence; tests
      * with samplerThread = false call it directly so sample
@@ -231,33 +234,49 @@ class CampaignService
     /** One coalesced execution in flight for a canonical key. */
     struct Flight
     {
-        bool done = false;
-        int status = 200;
-        std::string contentType;
-        std::string body;
         /** The leading request's id (followers log it). */
         std::uint64_t leaderId = 0;
+        /** The leader's response body, once it lands. */
+        std::shared_future<std::string> body;
+    };
+
+    /** One POST /v1/whatif on its way through the stages. */
+    struct WhatIf
+    {
+        explicit WhatIf(RequestTrack &t) : track(t) {}
+        RequestTrack &track;
+        WhatIfRequest request;
+        /** canonicalCacheKey(request) and its FNV-1a 64 hex form. */
+        std::string key;
+        char keyhex[24] = {};
     };
 
     /** Dispatch to the endpoint handlers (handle() minus the
      *  per-request bookkeeping that wraps every response). */
-    HttpResponse route(const HttpRequest &req, RequestTrack &track);
-    HttpResponse handleWhatIf(const HttpRequest &req,
-                              RequestTrack &track);
-    /** Cache re-check + (possibly resumed) campaign for a valid,
-     *  already-parsed request that missed the memory cache; the
-     *  coalescing leader's work. The re-check is unspanned:
-     *  handleWhatIf already timed the first lookup. */
-    HttpResponse computeWhatIf(const WhatIfRequest &request,
-                               const std::string &key,
-                               const char *keyhex,
-                               RequestTrack &track);
-    /** Store @p ck under @p ckptKey unless the checkpoint stored
-     *  there now is at least as deep (or @p ck is oversize). */
-    void storeCheckpoint(const std::string &ckptKey,
-                         const CampaignCheckpoint &ck);
+    HttpResponse route(const HttpRequest &req, Endpoint ep,
+                       RequestTrack &track);
+    /** @name POST /v1/whatif and its stages, in pipeline order
+     *  A stage that returns a response ends the request. lead() is the
+     *  flight leader's work: an unspanned memory re-check (it counts
+     *  the request's one hit or miss), then the stages after it. */
+    ///@{
+    HttpResponse handleWhatIf(const HttpRequest &req, RequestTrack &track);
+    std::optional<HttpResponse> parse(const HttpRequest &req, WhatIf &w);
+    std::optional<HttpResponse> memoryTier(WhatIf &w);
+    HttpResponse flight(WhatIf &w);
+    HttpResponse lead(WhatIf &w);
+    std::optional<HttpResponse> diskTier(WhatIf &w);
+    std::optional<CampaignCheckpoint> checkpoint(WhatIf &w,
+                                                 const std::string &ckptKey);
+    WhatIfExecution execute(WhatIf &w, const CampaignCheckpoint *from,
+                            obs::Context *evidence);
+    void store(WhatIf &w, const std::string &ckptKey,
+               const WhatIfExecution &ex);
+    void raiseAlerts(WhatIf &w, const obs::Context &evidence);
+    ///@}
+
     HttpResponse handleAlerts() const;
-    HttpResponse handleMetrics() const;
+    HttpResponse handleMetrics();
     HttpResponse handleHealthz();
     HttpResponse handleStatus();
     HttpResponse handleShutdown();
@@ -265,8 +284,6 @@ class CampaignService
     HttpResponse handleAlertHistory();
     HttpResponse handleDashboard() const;
 
-    /** The sampler's metric source (override or the global). */
-    obs::Registry &historyRegistry() const;
     /** Retain this round's alert transitions for /v1/alerts/history
      *  (bounded; @p tsNs is the leading request's admission time). */
     void appendAlertHistory(std::uint64_t tsNs,
@@ -276,6 +293,8 @@ class CampaignService
     void samplerLoop();
 
     ServiceOptions opts_;
+    /** Declared before every member that publishes into it. */
+    obs::Registry registry_;
     ResultCache cache_;
     /** Serialized CampaignCheckpoints keyed by "ckpt|" + base key. */
     ResultCache ckptCache_;
@@ -283,12 +302,10 @@ class CampaignService
     AlertEngine alerts_;
     /** Serializes storeCheckpoint's compare-and-store. */
     std::mutex ckpt_m_;
-    /** Guards inflight_; inflight_cv_ wakes parked followers. */
+    /** Guards inflight_. */
     std::mutex inflight_m_;
-    std::condition_variable inflight_cv_;
-    std::unordered_map<std::string, std::shared_ptr<Flight>> inflight_;
+    std::unordered_map<std::string, Flight> inflight_;
     std::atomic<std::uint64_t> coalesceWaiters_{0};
-    std::atomic<std::uint64_t> requestsServed_{0};
     RequestObserver reqobs_;
     /** Clock value at construction (uptime = now - boot). */
     std::uint64_t bootNs_ = 0;

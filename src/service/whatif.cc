@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "core/backup_config.hh"
+#include "server/server_model.hh"
 #include "sim/logging.hh"
 #include "workload/profile.hh"
 
@@ -73,6 +74,17 @@ readInt(const JsonValue &obj, const char *key, int &out,
     return true;
 }
 
+/** Refuse @p value outside [lo, hi], naming the field @p key. */
+bool
+checkRange(const char *key, double value, double lo, double hi,
+           std::string *error)
+{
+    if (value >= lo && value <= hi)
+        return true;
+    return setError(error,
+                    formatString("%s must be in [%g, %g]", key, lo, hi));
+}
+
 bool
 readBool(const JsonValue &obj, const char *key, bool &out,
          std::string *error)
@@ -122,6 +134,14 @@ parseConfig(const JsonValue &v, BackupConfigSpec &out, std::string *error)
     if (out.dgPowerFrac < 0 || out.upsPowerFrac < 0 ||
         out.upsRuntimeSec < 0)
         return setError(error, "config fractions must be non-negative");
+    // A present backup source needs a capacity: the battery and
+    // generator models refuse a zero rating.
+    if (out.hasUps && out.upsPowerFrac == 0)
+        return setError(error, "ups_power_frac must be > 0 with has_ups");
+    if (out.hasUps && out.upsRuntimeSec == 0)
+        return setError(error, "ups_runtime_sec must be > 0 with has_ups");
+    if (out.hasDg && out.dgPowerFrac == 0)
+        return setError(error, "dg_power_frac must be > 0 with has_dg");
     return true;
 }
 
@@ -151,7 +171,14 @@ parseTechnique(const JsonValue &v, TechniqueSpec &out, std::string *error)
     if (serve_for_min < 0)
         return setError(error, "serve_for_min must be non-negative");
     out.serveFor = fromMinutes(serve_for_min);
-    return true;
+    // The server model's own state counts bound the state indices.
+    const ServerModel::Params server;
+    return checkRange("pstate", out.pstate, 0, server.pStates - 1, error) &&
+           checkRange("host_pstate", out.hostPState, 0, server.pStates - 1,
+                      error) &&
+           checkRange("tstate", out.tstate, 0, server.tStates - 1, error) &&
+           checkRange("remote_perf", out.remotePerf, 0, 1, error) &&
+           checkRange("risk", out.risk, 0, 1, error);
 }
 
 } // namespace

@@ -23,7 +23,12 @@
  * Parsing is defensive: the body is untrusted network input, so every
  * field is type- and range-checked and errors are returned, never
  * asserted (JsonValue's checked accessors abort on mismatch and are
- * not used here).
+ * not used here). The ranges are the models' own: pstate and
+ * host_pstate in [0, P-states) and tstate in [0, T-states) of the
+ * default server model, remote_perf and risk in [0, 1], and a custom
+ * config's ups_power_frac and ups_runtime_sec (with has_ups) and
+ * dg_power_frac (with has_dg) above 0. Every technique kind is
+ * checked alike, also one that ignores the field.
  *
  * Determinism: the response of a what-if is a pure function of
  * (spec, seed, trial budget, early-stop rule, buildId) — that tuple,

@@ -1,18 +1,13 @@
 /**
  * @file
- * Lightweight statistics collectors used throughout the models and the
- * benchmark harnesses: streaming summary statistics (Welford), fixed-bin
- * histograms, and a time-weighted mean accumulator.
+ * Streaming summary statistics (Welford), used throughout the models
+ * and the benchmark harnesses.
  */
 
 #ifndef BPSIM_SIM_STATS_HH
 #define BPSIM_SIM_STATS_HH
 
 #include <cstddef>
-#include <string>
-#include <vector>
-
-#include "sim/types.hh"
 
 namespace bpsim
 {
@@ -52,62 +47,6 @@ class SummaryStats
     double min_ = 0.0;
     double max_ = 0.0;
     double sum_ = 0.0;
-};
-
-/**
- * Histogram with uniform bins over [lo, hi); out-of-range samples land
- * in saturating underflow/overflow buckets.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    /** Add one observation. */
-    void add(double x);
-
-    /** Count in bin @p i. */
-    std::uint64_t binCount(std::size_t i) const { return counts.at(i); }
-    /** Inclusive lower edge of bin @p i. */
-    double binLo(std::size_t i) const;
-    /** Exclusive upper edge of bin @p i. */
-    double binHi(std::size_t i) const;
-    /** Number of regular bins. */
-    std::size_t bins() const { return counts.size(); }
-    /** Samples below the range. */
-    std::uint64_t underflow() const { return under; }
-    /** Samples at or above the range end. */
-    std::uint64_t overflow() const { return over; }
-    /** Total samples added, including out-of-range ones. */
-    std::uint64_t total() const { return total_; }
-    /** Fraction of in-range samples in bin @p i (0 when empty). */
-    double binFraction(std::size_t i) const;
-
-  private:
-    double lo_, hi_;
-    std::vector<std::uint64_t> counts;
-    std::uint64_t under = 0, over = 0, total_ = 0;
-};
-
-/**
- * Time-weighted mean of a piecewise-constant signal fed as explicit
- * (duration, value) contributions; cheaper than a full Timeline when
- * only the mean is needed.
- */
-class TimeWeightedMean
-{
-  public:
-    /** Accumulate @p value held for @p duration. */
-    void add(Time duration, double value);
-
-    /** Total accumulated duration. */
-    Time duration() const { return total; }
-    /** Time-weighted mean (0 when no time accumulated). */
-    double mean() const;
-
-  private:
-    Time total = 0;
-    double weighted = 0.0;
 };
 
 } // namespace bpsim

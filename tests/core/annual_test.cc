@@ -140,42 +140,5 @@ TEST(Annual, RejectsOutagesBeyondTheYear)
                  "beyond the year");
 }
 
-TEST(Annual, SectionedYearAggregatesByServers)
-{
-    AnnualSimulator sim;
-    SectionSpec protected_section;
-    protected_section.name = "protected";
-    protected_section.profiles.assign(4, specJbbProfile());
-    protected_section.backup = maxPerfConfig();
-    protected_section.technique = {};
-    SectionSpec bare_section;
-    bare_section.name = "bare";
-    bare_section.profiles.assign(4, specJbbProfile());
-    bare_section.backup = minCostConfig();
-    bare_section.technique = {};
-
-    const auto r = sim.runSectionedYear(
-        {protected_section, bare_section}, threeOutages());
-    EXPECT_EQ(r.outages, 3);
-    EXPECT_EQ(r.losses, 3); // only the bare section crashed, 3 times
-    // Half the servers see MinCost downtime, half see none.
-    EXPECT_NEAR(r.downtimeMin, 0.5 * (72.0 + 3.0 * 400.0 / 60.0), 3.0);
-    EXPECT_GT(r.meanPerf, 0.999 * 0.5 + 0.49);
-}
-
-TEST(Annual, SectionedQuietYearIsPerfect)
-{
-    AnnualSimulator sim;
-    SectionSpec s;
-    s.name = "only";
-    s.profiles.assign(2, memcachedProfile());
-    s.backup = noDgConfig();
-    s.technique = {TechniqueKind::Sleep, 0, 0, 0, true};
-    const auto r = sim.runSectionedYear({s}, {});
-    EXPECT_EQ(r.losses, 0);
-    EXPECT_NEAR(r.downtimeMin, 0.0, 1e-6);
-    EXPECT_NEAR(r.meanPerf, 1.0, 1e-9);
-}
-
 } // namespace
 } // namespace bpsim

@@ -15,9 +15,11 @@
 #include <string>
 #include <vector>
 
+#include "campaign/annual_campaign.hh"
 #include "campaign/json.hh"
 #include "campaign/shard.hh"
 #include "core/backup_config.hh"
+#include "obs/context.hh"
 #include "obs/obs.hh"
 #include "workload/profile.hh"
 
@@ -54,8 +56,7 @@ TEST(Counters, MergeIsAssociativeAndCommutative)
 
 TEST(Registry, CounterGaugeTimerRoundTripValues)
 {
-    auto &reg = obs::Registry::global();
-    reg.reset();
+    obs::Registry reg;
     reg.counter("t.count").add(3);
     reg.counter("t.count").add(2);
     reg.gauge("t.gauge").set(-1234.5);
@@ -76,41 +77,64 @@ TEST(Registry, CounterGaugeTimerRoundTripValues)
 
 TEST(Registry, TimersAccumulateMonotonically)
 {
-    auto &reg = obs::Registry::global();
-    reg.reset();
-    // scope() times only on a thread that is recording a trial.
-    obs::TrialRecord record;
-    const obs::TrialScope recording(0, &record);
+    obs::Registry reg;
     {
-        const auto t = obs::scope("t.mono");
+        const obs::ScopedTimer t(&reg.timer("t.mono"));
     }
     const auto first = reg.timerSnapshot().at("t.mono");
     EXPECT_EQ(first.count, 1u);
     EXPECT_GE(first.seconds, 0.0);
     {
-        const auto t = obs::scope("t.mono");
+        const obs::ScopedTimer t(&reg.timer("t.mono"));
     }
     const auto second = reg.timerSnapshot().at("t.mono");
     EXPECT_EQ(second.count, 2u);
     EXPECT_GE(second.seconds, first.seconds);
 }
 
-TEST(Registry, ScopeIsInertWhileDisabled)
+TEST(Registry, RecordingCampaignWithoutRegistryPublishesNothing)
 {
-    auto &reg = obs::Registry::global();
-    reg.reset();
-    ASSERT_FALSE(obs::enabled());
-    {
-        const auto t = obs::scope("t.never");
-    }
-    const auto snapshot = reg.timerSnapshot();
-    EXPECT_EQ(snapshot.find("t.never"), snapshot.end());
+    AnnualCampaignSpec spec;
+    spec.profile = specJbbProfile();
+    spec.nServers = 4;
+    spec.technique = {TechniqueKind::Throttle, 5, 0, 0, false};
+    spec.config = noDgConfig();
+    AnnualCampaignOptions opts;
+    opts.maxTrials = 8;
+    opts.seed = 5;
+
+    // With a registry, the campaign publishes its folded trials and
+    // its campaign.* totals there.
+    obs::Registry reg;
+    obs::Context published;
+    published.registry = &reg;
+    opts.obs = &published;
+    runAnnualCampaign(spec, opts);
+    const auto counters = reg.counterSnapshot();
+    const auto histograms = reg.histogramSnapshot();
+    EXPECT_EQ(counters.at("campaign.trials"), 8u);
+    EXPECT_GT(counters.at("power.outages"), 0u);
+    EXPECT_FALSE(histograms.empty());
+    EXPECT_EQ(reg.timerSnapshot().at("campaign.run").count, 1u);
+    ASSERT_EQ(reg.gaugeSnapshot().count("campaign.trials_per_sec"), 1u);
+
+    // Without one, the same campaign records the same deltas into its
+    // Context and publishes nothing: the registry is as it was.
+    obs::Context silent;
+    opts.obs = &silent;
+    runAnnualCampaign(spec, opts);
+    EXPECT_EQ(silent.deltas().counters, published.deltas().counters);
+    EXPECT_EQ(reg.counterSnapshot(), counters);
+    EXPECT_EQ(reg.timerSnapshot().at("campaign.run").count, 1u);
+    const auto after = reg.histogramSnapshot();
+    ASSERT_EQ(after.size(), histograms.size());
+    for (const auto &[name, snap] : histograms)
+        EXPECT_EQ(after.at(name).count(), snap.count()) << name;
 }
 
 TEST(MetricsJson, RoundTripsThroughParseJson)
 {
-    auto &reg = obs::Registry::global();
-    reg.reset();
+    obs::Registry reg;
     reg.counter("events").add(42);
     reg.gauge("trials_per_sec").set(12345.0625);
     reg.timer("run").add(2000000000); // 2 s

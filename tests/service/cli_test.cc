@@ -161,7 +161,8 @@ TEST(CliContract, ServerHelpDocumentsPersistenceFlags)
                             " --help");
     EXPECT_EQ(r.exitCode, 0) << r.output;
     EXPECT_NE(r.output.find("--cache-dir DIR"), std::string::npos);
-    EXPECT_NE(r.output.find("--coalesce on|off"), std::string::npos);
+    // Coalescing is always on; the flag that turned it off is gone.
+    EXPECT_EQ(r.output.find("--coalesce"), std::string::npos);
     EXPECT_NE(r.output.find("--ckpt-max-bytes N"), std::string::npos);
 }
 
@@ -170,8 +171,7 @@ TEST(CliContract, ServerPersistenceFlagsParseBeforeHelp)
     // --help after valid values proves the flags parsed without
     // actually starting a listener.
     for (const char *flags :
-         {" --coalesce on", " --coalesce off",
-          " --cache-dir /tmp/bpsim-cli-test-unused",
+         {" --cache-dir /tmp/bpsim-cli-test-unused",
           " --ckpt-max-bytes 1024"}) {
         const RunResult r = run(std::string(BPSIM_CAMPAIGN_SERVER_BIN) +
                                 flags + " --help");
@@ -184,11 +184,16 @@ TEST(CliContract, ServerPersistenceFlagsParseBeforeHelp)
 
 TEST(CliContract, ServerCoalesceRejectsAnythingButOnOrOff)
 {
-    for (const char *bad : {"sometimes", "ON", "1", "true", ""}) {
+    // The name is the flag's old contract. The flag is gone, so "on"
+    // and "off" are refused too, as an unknown argument.
+    for (const char *bad :
+         {"on", "off", "sometimes", "ON", "1", "true", ""}) {
         const RunResult r = run(std::string(BPSIM_CAMPAIGN_SERVER_BIN) +
                                 " --coalesce \"" + bad + "\"");
         EXPECT_EQ(r.exitCode, 2) << "--coalesce " << bad << ": "
                                  << r.output;
+        EXPECT_NE(r.output.find("unknown argument"), std::string::npos)
+            << "--coalesce " << bad;
         EXPECT_NE(r.output.find("usage: campaign_server"),
                   std::string::npos)
             << "--coalesce " << bad;

@@ -53,15 +53,13 @@ header(const HttpResponse &resp, const std::string &name)
     return nullptr;
 }
 
+/** Counter @p name in @p service's own registry (0 = never added). */
 std::uint64_t
-counterDelta(const std::map<std::string, std::uint64_t> &before,
-             const std::map<std::string, std::uint64_t> &after,
-             const std::string &name)
+counterOf(CampaignService &service, const std::string &name)
 {
-    const auto b = before.find(name);
-    const auto a = after.find(name);
-    return (a == after.end() ? 0 : a->second) -
-           (b == before.end() ? 0 : b->second);
+    const auto counters = service.registry().counterSnapshot();
+    const auto it = counters.find(name);
+    return it == counters.end() ? 0 : it->second;
 }
 
 } // namespace
@@ -86,7 +84,6 @@ TEST(CoalesceTest, IdenticalConcurrentRequestsShareOneExecution)
     CampaignService service(opts);
     svc = &service;
 
-    const auto before = obs::Registry::global().counterSnapshot();
     std::vector<HttpResponse> responses(kThreads);
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
@@ -97,12 +94,11 @@ TEST(CoalesceTest, IdenticalConcurrentRequestsShareOneExecution)
         });
     for (auto &t : threads)
         t.join();
-    const auto after = obs::Registry::global().counterSnapshot();
 
     // Exactly one campaign ran; every other request was coalesced.
-    EXPECT_EQ(counterDelta(before, after, "service.whatif.campaigns"),
+    EXPECT_EQ(counterOf(service, "service.whatif.campaigns"),
               1u);
-    EXPECT_EQ(counterDelta(before, after, "service.coalesced"),
+    EXPECT_EQ(counterOf(service, "service.coalesced"),
               static_cast<std::uint64_t>(kThreads - 1));
     EXPECT_EQ(service.cache().stats().misses, 1u);
     EXPECT_EQ(service.cache().stats().insertions, 1u);
@@ -140,64 +136,20 @@ TEST(CoalesceTest, DistinctRequestsNeverCoalesce)
         "\"technique\":{\"kind\":\"throttle_sleep\",\"pstate\":5,"
         "\"serve_for_min\":10.0,\"low_power\":true}}";
 
-    const auto before = obs::Registry::global().counterSnapshot();
     HttpResponse a, b;
     std::thread ta([&] { a = service.handle(post(kBody)); });
     std::thread tb([&] { b = service.handle(post(other)); });
     ta.join();
     tb.join();
-    const auto after = obs::Registry::global().counterSnapshot();
 
     // Different canonical keys are different flights: both executed.
-    EXPECT_EQ(counterDelta(before, after, "service.whatif.campaigns"),
+    EXPECT_EQ(counterOf(service, "service.whatif.campaigns"),
               2u);
-    EXPECT_EQ(counterDelta(before, after, "service.coalesced"), 0u);
+    EXPECT_EQ(counterOf(service, "service.coalesced"), 0u);
     ASSERT_EQ(a.status, 200);
     ASSERT_EQ(b.status, 200);
     EXPECT_NE(a.body, b.body);
     EXPECT_NE(*header(a, "X-Bpsim-Key"), *header(b, "X-Bpsim-Key"));
-}
-
-TEST(CoalesceTest, CoalesceOffStillServesConcurrentRequestsFromCache)
-{
-    constexpr int kThreads = 4;
-    ServiceOptions opts;
-    opts.evaluateAlerts = false;
-    opts.coalesce = false;
-    CampaignService service(opts);
-
-    const auto before = obs::Registry::global().counterSnapshot();
-    std::vector<HttpResponse> responses(kThreads);
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int i = 0; i < kThreads; ++i)
-        threads.emplace_back([&service, &responses, i] {
-            responses[static_cast<std::size_t>(i)] =
-                service.handle(post(kBody));
-        });
-    for (auto &t : threads)
-        t.join();
-    const auto after = obs::Registry::global().counterSnapshot();
-
-    // Without coalescing nothing serializes identical misses: each
-    // request either hits the cache or runs its own campaign, and
-    // counts exactly one hit or miss — but nothing was coalesced, and
-    // every body is the same bytes.
-    const CacheStats stats = service.cache().stats();
-    EXPECT_GE(stats.misses, 1u);
-    EXPECT_EQ(stats.hits + stats.misses,
-              static_cast<std::uint64_t>(kThreads));
-    EXPECT_EQ(counterDelta(before, after, "service.whatif.campaigns"),
-              stats.misses);
-    EXPECT_EQ(counterDelta(before, after, "service.coalesced"), 0u);
-    for (const auto &resp : responses) {
-        ASSERT_EQ(resp.status, 200) << resp.body;
-        EXPECT_EQ(resp.body, responses[0].body);
-    }
-    // Once they land, the result is served from the cache.
-    const HttpResponse again = service.handle(post(kBody));
-    EXPECT_EQ(again.body, responses[0].body);
-    EXPECT_EQ(service.cache().stats().hits, stats.hits + 1);
 }
 
 TEST(CoalesceTest, HitNeverWaitsOnAHeldMiss)

@@ -260,15 +260,14 @@ TEST(HistoryServiceTest, SeriesResponseBytesArePinnedUnderFakeClock)
     if (!RequestObserver::kCompiledIn)
         GTEST_SKIP() << "obs compiled out";
 
-    obs::Registry reg;
     ServiceOptions opts;
     opts.evaluateAlerts = false;
     opts.reqobs.clock = steppingClock();
     opts.history.samplerThread = false;
     opts.history.cadenceNs = 1000000;    // 1 ms: one bucket per tick
     opts.history.retentionNs = 10000000; // 10 buckets per tier
-    opts.history.registry = &reg;
     CampaignService service(opts); // clock call 1 (boot)
+    obs::Registry &reg = service.registry();
 
     // Tick 1 (clock 2, t = 2 ms): establishes the counter baseline —
     // no rate yet. Tick 2 (clock 3, t = 3 ms): 5 events over 1 ms.
@@ -321,11 +320,9 @@ TEST(HistoryServiceTest, SeriesWithoutNameListsStoredSeries)
     if (!RequestObserver::kCompiledIn)
         GTEST_SKIP() << "obs compiled out";
 
-    obs::Registry reg;
     ServiceOptions opts;
     opts.evaluateAlerts = false;
     opts.history.samplerThread = false;
-    opts.history.registry = &reg;
     CampaignService service(opts);
     service.sampleHistoryOnce();
 
@@ -370,11 +367,9 @@ TEST(HistoryServiceTest, StatusHistoryBlockReportsBoundedFootprint)
     if (!RequestObserver::kCompiledIn)
         GTEST_SKIP() << "obs compiled out";
 
-    obs::Registry reg;
     ServiceOptions opts;
     opts.evaluateAlerts = false;
     opts.history.samplerThread = false;
-    opts.history.registry = &reg;
     CampaignService service(opts);
     service.sampleHistoryOnce();
     service.sampleHistoryOnce();
@@ -407,9 +402,6 @@ TEST(HistoryServiceTest, LagBehindCadenceIsLoggedOnRequests)
     opts.reqobs.clock = steppingClock(10); // 10 ms per clock call
     opts.history.samplerThread = false;
     opts.history.cadenceNs = 1000000; // 1 ms cadence
-    opts.history.registry = nullptr;
-    obs::Registry reg;
-    opts.history.registry = &reg;
     CampaignService service(opts); // clock 1
 
     service.sampleHistoryOnce(); // clock 2: baseline, no lag yet

@@ -194,11 +194,10 @@ TEST(RequestObsTest, LatencyHistogramsPerEndpointPhaseStatus)
     if (!RequestObserver::kCompiledIn)
         GTEST_SKIP() << "obs compiled out";
 
-    obs::Registry reg;
     ServiceOptions opts;
     opts.evaluateAlerts = false;
-    opts.reqobs.registry = &reg;
     CampaignService service(opts);
+    const obs::Registry &reg = service.registry();
 
     EXPECT_EQ(service.handle(post("/v1/whatif", kBody)).status, 200);
     EXPECT_EQ(service.handle(post("/v1/whatif", kBody)).status, 200);

@@ -214,3 +214,110 @@ TEST(CampaignServiceTest, LoopbackSessionWithShutdown)
     service.waitUntilStopped();
     EXPECT_FALSE(service.running());
 }
+
+TEST(CampaignServiceTest, TwoServicesKeepSeparateMetrics)
+{
+    // Each service owns its registry: one server's traffic never shows
+    // in another's /metrics.
+    CampaignService busy;
+    CampaignService idle;
+    ASSERT_EQ(busy.handle(post("/v1/whatif", kBody)).status, 200);
+    ASSERT_EQ(busy.handle(post("/v1/whatif", kBody)).status, 200);
+    ASSERT_EQ(busy.handle(get("/healthz")).status, 200);
+
+    const std::string requests =
+        std::string("bpsim_service_requests_total{build=\"") + buildId() +
+        "\"} ";
+    const HttpResponse a = busy.handle(get("/metrics"));
+    const HttpResponse b = idle.handle(get("/metrics"));
+    EXPECT_NE(a.body.find(requests + "4\n"), std::string::npos) << a.body;
+    EXPECT_NE(b.body.find(requests + "1\n"), std::string::npos) << b.body;
+    EXPECT_NE(a.body.find("bpsim_service_whatif_campaigns_total"),
+              std::string::npos);
+    EXPECT_EQ(b.body.find("bpsim_service_whatif_campaigns_total"),
+              std::string::npos)
+        << b.body;
+    EXPECT_EQ(b.body.find("bpsim_service_cache_hits_total"),
+              std::string::npos)
+        << b.body;
+}
+
+namespace
+{
+
+/**
+ * Post @p body, whose technique or config reads the out-of-range
+ * @p field (so the model would assert on it): the parser must refuse
+ * it up front with a 400 naming the field, and the service must still
+ * answer a valid request afterwards.
+ */
+void
+expectRefused(const char *field, const char *body)
+{
+    CampaignService service;
+    const HttpResponse refused = service.handle(post("/v1/whatif", body));
+    EXPECT_EQ(refused.status, 400) << refused.body;
+    EXPECT_NE(refused.body.find(field), std::string::npos) << refused.body;
+    EXPECT_EQ(service.cache().stats().insertions, 0u);
+    EXPECT_EQ(service.handle(post("/v1/whatif", kBody)).status, 200);
+}
+
+} // namespace
+
+TEST(WhatIfRangeTest, RefusesPstate)
+{
+    expectRefused("pstate", "{\"config\":\"LargeEUPS\",\"trials\":2,"
+                            "\"technique\":{\"kind\":\"throttle\","
+                            "\"pstate\":99}}");
+}
+
+TEST(WhatIfRangeTest, RefusesHostPstate)
+{
+    expectRefused("host_pstate",
+                  "{\"config\":\"LargeEUPS\",\"trials\":4,"
+                  "\"technique\":{\"kind\":\"migration\","
+                  "\"host_pstate\":99}}");
+}
+
+TEST(WhatIfRangeTest, RefusesTstate)
+{
+    expectRefused("tstate", "{\"config\":\"LargeEUPS\",\"trials\":2,"
+                            "\"technique\":{\"kind\":\"throttle\","
+                            "\"tstate\":99}}");
+}
+
+TEST(WhatIfRangeTest, RefusesRemotePerf)
+{
+    expectRefused("remote_perf",
+                  "{\"config\":\"LargeEUPS\",\"trials\":2,"
+                  "\"technique\":{\"kind\":\"geo_failover\","
+                  "\"remote_perf\":-1}}");
+}
+
+TEST(WhatIfRangeTest, RefusesRisk)
+{
+    expectRefused("risk", "{\"config\":\"LargeEUPS\",\"trials\":2,"
+                          "\"technique\":{\"kind\":\"adaptive\","
+                          "\"risk\":-1}}");
+}
+
+TEST(WhatIfRangeTest, RefusesZeroUpsPowerFrac)
+{
+    expectRefused("ups_power_frac",
+                  "{\"config\":{\"has_ups\":true,\"ups_power_frac\":0,"
+                  "\"ups_runtime_sec\":600},\"trials\":2}");
+}
+
+TEST(WhatIfRangeTest, RefusesZeroUpsRuntimeSec)
+{
+    expectRefused("ups_runtime_sec",
+                  "{\"config\":{\"has_ups\":true,\"ups_power_frac\":1,"
+                  "\"ups_runtime_sec\":0},\"trials\":2}");
+}
+
+TEST(WhatIfRangeTest, RefusesZeroDgPowerFrac)
+{
+    expectRefused("dg_power_frac",
+                  "{\"config\":{\"has_dg\":true,\"dg_power_frac\":0},"
+                  "\"trials\":2}");
+}

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for SummaryStats, Histogram and TimeWeightedMean.
+ * Tests for SummaryStats.
  */
 
 #include <gtest/gtest.h>
@@ -59,80 +59,6 @@ TEST(SummaryStats, NegativeValues)
     EXPECT_DOUBLE_EQ(s.mean(), 0.0);
     EXPECT_DOUBLE_EQ(s.min(), -3.0);
     EXPECT_DOUBLE_EQ(s.max(), 3.0);
-}
-
-TEST(Histogram, BinsAndEdges)
-{
-    Histogram h(0.0, 10.0, 5);
-    EXPECT_EQ(h.bins(), 5u);
-    EXPECT_DOUBLE_EQ(h.binLo(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.binHi(0), 2.0);
-    EXPECT_DOUBLE_EQ(h.binLo(4), 8.0);
-    EXPECT_DOUBLE_EQ(h.binHi(4), 10.0);
-}
-
-TEST(Histogram, SamplesLandInCorrectBins)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.add(0.0);
-    h.add(1.99);
-    h.add(2.0);
-    h.add(9.99);
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(1), 1u);
-    EXPECT_EQ(h.binCount(4), 1u);
-    EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, OutOfRangeGoesToOverUnderflow)
-{
-    Histogram h(0.0, 1.0, 2);
-    h.add(-0.1);
-    h.add(1.0); // hi edge is exclusive
-    h.add(5.0);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, BinFractionNormalizesInRangeOnly)
-{
-    Histogram h(0.0, 4.0, 2);
-    h.add(1.0);
-    h.add(1.0);
-    h.add(3.0);
-    h.add(99.0); // overflow, excluded from fractions
-    EXPECT_DOUBLE_EQ(h.binFraction(0), 2.0 / 3.0);
-    EXPECT_DOUBLE_EQ(h.binFraction(1), 1.0 / 3.0);
-}
-
-TEST(Histogram, RejectsDegenerateConstruction)
-{
-    EXPECT_DEATH(Histogram(1.0, 1.0, 4), "empty");
-    EXPECT_DEATH(Histogram(0.0, 1.0, 0), "at least one bin");
-}
-
-TEST(TimeWeightedMean, WeighsByDuration)
-{
-    TimeWeightedMean m;
-    m.add(10 * kSecond, 1.0);
-    m.add(30 * kSecond, 0.0);
-    EXPECT_DOUBLE_EQ(m.mean(), 0.25);
-    EXPECT_EQ(m.duration(), 40 * kSecond);
-}
-
-TEST(TimeWeightedMean, EmptyIsZero)
-{
-    TimeWeightedMean m;
-    EXPECT_DOUBLE_EQ(m.mean(), 0.0);
-}
-
-TEST(TimeWeightedMean, ZeroDurationContributesNothing)
-{
-    TimeWeightedMean m;
-    m.add(0, 100.0);
-    m.add(kSecond, 2.0);
-    EXPECT_DOUBLE_EQ(m.mean(), 2.0);
 }
 
 } // namespace
