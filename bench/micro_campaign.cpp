@@ -9,8 +9,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <functional>
 #include <vector>
 
+#include "campaign/annual_campaign.hh"
 #include "campaign/exact_sum.hh"
 #include "campaign/shard.hh"
 #include "campaign/tdigest.hh"
@@ -117,6 +119,91 @@ BM_MergingMetricAdd(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_MergingMetricAdd)->Arg(1000)->Arg(100000);
+
+/**
+ * The in-order consumer of a batched campaign on 256-trial chunks:
+ * per value (CampaignAggregate::fold, trial by trial) versus chunk
+ * partials (CampaignAggregate::foldChunk over what prepareChunk built
+ * off the fold's thread). Both lanes fold the same results into an
+ * aggregate carried across iterations. 25 chunks are 6400 trials, a
+ * whole number of 800-value digest flush cycles, so the partials
+ * prepared once up front meet the digests at the flush points they
+ * were cut for. items_per_second counts trials.
+ */
+constexpr std::size_t kChunk = 256;
+constexpr std::size_t kCycleChunks = 25;
+
+std::vector<AnnualResult>
+chunkResults()
+{
+    Rng rng(11);
+    std::vector<AnnualResult> rs(kChunk * kCycleChunks);
+    for (auto &r : rs) {
+        r.losses = rng.nextDouble() < 0.1 ? 1 : 0;
+        r.downtimeMin = r.losses ? rng.exponential(30.0) : 0.0;
+        r.meanPerf = 1.0 - 0.01 * rng.nextDouble();
+        r.batteryKwh = rng.exponential(5.0);
+        r.worstGapMin = r.downtimeMin * rng.nextDouble();
+    }
+    return rs;
+}
+
+void
+BM_FoldChunkPerValue(benchmark::State &state)
+{
+    const auto rs = chunkResults();
+    CampaignAggregate agg;
+    std::size_t c = 0;
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < kChunk; ++i)
+            agg.fold(rs[c * kChunk + i]);
+        c = (c + 1) % kCycleChunks;
+    }
+    benchmark::DoNotOptimize(agg.downtimeMin.sum().value());
+    state.SetItemsProcessed(state.iterations() * kChunk);
+}
+BENCHMARK(BM_FoldChunkPerValue);
+
+void
+BM_FoldChunkPartials(benchmark::State &state)
+{
+    const auto rs = chunkResults();
+    CampaignAggregate agg;
+    const auto at = agg.flushSchedules();
+    std::vector<std::vector<MetricChunk>> parts(kCycleChunks);
+    for (std::size_t c = 0; c < kCycleChunks; ++c)
+        CampaignAggregate::prepareChunk(parts[c], &rs[c * kChunk], kChunk,
+                                        at, c * kChunk);
+    const std::function<bool(std::size_t)> more = [](std::size_t) {
+        return true;
+    };
+    std::size_t c = 0;
+    for (auto _ : state) {
+        agg.foldChunk(&rs[c * kChunk], kChunk, parts[c], more);
+        c = (c + 1) % kCycleChunks;
+    }
+    benchmark::DoNotOptimize(agg.downtimeMin.sum().value());
+    state.SetItemsProcessed(state.iterations() * kChunk);
+}
+BENCHMARK(BM_FoldChunkPartials);
+
+/** The worker's share of the partials lane: prepareChunk alone. */
+void
+BM_PrepareChunk(benchmark::State &state)
+{
+    const auto rs = chunkResults();
+    const auto at = CampaignAggregate().flushSchedules();
+    std::vector<MetricChunk> parts;
+    std::size_t c = 0;
+    for (auto _ : state) {
+        CampaignAggregate::prepareChunk(parts, &rs[c * kChunk], kChunk, at,
+                                        c * kChunk);
+        benchmark::DoNotOptimize(parts.data());
+        c = (c + 1) % kCycleChunks;
+    }
+    state.SetItemsProcessed(state.iterations() * kChunk);
+}
+BENCHMARK(BM_PrepareChunk);
 
 /**
  * One full annual trial — the unit of work every campaign repeats N

@@ -19,6 +19,24 @@ namespace
 
 constexpr Time kYear = 365LL * 24 * kHour;
 
+/** Trial @p r's observation of metric @p m, in kMetrics order. */
+double
+observation(const AnnualResult &r, std::size_t m)
+{
+    switch (m) {
+    case 0:
+        return r.downtimeMin;
+    case 1:
+        return static_cast<double>(r.losses);
+    case 2:
+        return r.meanPerf;
+    case 3:
+        return r.batteryKwh;
+    default:
+        return r.worstGapMin;
+    }
+}
+
 /** The registry a recording campaign publishes into (null: none). */
 obs::Registry *
 publishTo(const AnnualCampaignOptions &opts)
@@ -132,14 +150,64 @@ const std::array<std::pair<const char *, MergingMetric CampaignAggregate::*>,
 void
 CampaignAggregate::fold(const AnnualResult &r)
 {
-    downtimeMin.add(r.downtimeMin);
-    lossesPerYear.add(static_cast<double>(r.losses));
-    meanPerf.add(r.meanPerf);
-    batteryKwh.add(r.batteryKwh);
-    worstGapMin.add(r.worstGapMin);
+    for (std::size_t m = 0; m < kMetrics.size(); ++m)
+        (this->*kMetrics[m].second).add(observation(r, m));
     if (r.losses == 0)
         ++lossFreeTrials;
     ++trials;
+}
+
+CampaignAggregate::Schedules
+CampaignAggregate::flushSchedules() const
+{
+    Schedules out;
+    for (std::size_t m = 0; m < kMetrics.size(); ++m)
+        out[m] = (this->*kMetrics[m].second).flushSchedule();
+    return out;
+}
+
+void
+CampaignAggregate::prepareChunk(std::vector<MetricChunk> &parts,
+                                const AnnualResult *r, std::size_t n,
+                                const Schedules &at, std::uint64_t offset)
+{
+    parts.resize(kMetrics.size());
+    std::vector<double> values(n);
+    for (std::size_t m = 0; m < kMetrics.size(); ++m) {
+        for (std::size_t i = 0; i < n; ++i)
+            values[i] = observation(r[i], m);
+        parts[m].prepare(values.data(), n, at[m].advance(offset),
+                         kMetrics[m].second != &CampaignAggregate::downtimeMin);
+    }
+}
+
+std::size_t
+CampaignAggregate::foldChunk(const AnnualResult *r, std::size_t n,
+                             const std::vector<MetricChunk> &parts,
+                             const std::function<bool(std::size_t)> &after)
+{
+    // Per trial, only what `after` may read.
+    std::size_t folded = 0;
+    for (bool more = true; more && folded < n;) {
+        const AnnualResult &t = r[folded++];
+        downtimeMin.addSums(t.downtimeMin);
+        if (t.losses == 0)
+            ++lossFreeTrials;
+        ++trials;
+        more = after(folded - 1);
+    }
+    // A stop part-way leaves a prefix the workers did not prepare.
+    std::vector<MetricChunk> prefix;
+    if (folded < n)
+        prepareChunk(prefix, r, folded, flushSchedules(), 0);
+    const std::vector<MetricChunk> &use = folded < n ? prefix : parts;
+    std::vector<double> values(folded);
+    for (std::size_t m = 0; m < kMetrics.size(); ++m) {
+        for (std::size_t i = 0; i < folded; ++i)
+            values[i] = observation(r[i], m);
+        (this->*kMetrics[m].second).foldChunk(values.data(), use[m]);
+    }
+    return folded;
 }
 
 void
@@ -197,15 +265,23 @@ foldTrials(CampaignAggregate &agg, const TrialSource &source,
            obs::Context *obs,
            const std::function<bool(std::uint64_t)> &after)
 {
-    /** One unit of pool work; records stay empty unless recording. */
+    /**
+     * One unit of pool work; records stay empty unless recording, and
+     * parts unless the source is batched.
+     */
     struct Chunk
     {
         std::vector<AnnualResult> results;
         std::vector<obs::TrialRecord> records;
         std::vector<obs::IncidentReport> forensics;
+        std::vector<MetricChunk> parts;
     };
     const std::uint64_t batch = source.batch();
     const std::uint64_t chunks = (hi - lo + batch - 1) / batch;
+    // Every chunk folds after all earlier ones, so the schedules taken
+    // here place each chunk's flush points.
+    const bool presort = batch > 1 && batch <= MetricChunk::kMaxLength;
+    const CampaignAggregate::Schedules schedules = agg.flushSchedules();
     const std::function<Chunk(std::uint64_t)> body =
         [&](std::uint64_t chunk) {
             const std::uint64_t first = lo + chunk * batch;
@@ -215,37 +291,50 @@ foldTrials(CampaignAggregate &agg, const TrialSource &source,
             c.results.resize(n);
             if (!obs) {
                 source.run(first, last, c.results.data());
-                return c;
+            } else {
+                c.records.reserve(n);
+                for (std::uint64_t id = first; id < last; ++id)
+                    c.records.push_back(obs->open(id - lo));
+                source.run(first, last, c.results.data(),
+                           c.records.data());
+                c.forensics.reserve(n);
+                for (std::size_t i = 0; i < n; ++i) {
+                    // Per-trial distribution metrics.
+                    c.records[i].recordHistogram(
+                        "campaign.trial_downtime_min",
+                        c.results[i].downtimeMin);
+                    c.records[i].recordHistogram(
+                        "campaign.trial_worst_gap_min",
+                        c.results[i].worstGapMin);
+                    c.forensics.push_back(obs->reduce(c.records[i]));
+                }
             }
-            c.records.reserve(n);
-            for (std::uint64_t id = first; id < last; ++id)
-                c.records.push_back(obs->open(id - lo));
-            source.run(first, last, c.results.data(), c.records.data());
-            c.forensics.reserve(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                // Per-trial distribution metrics.
-                c.records[i].recordHistogram("campaign.trial_downtime_min",
-                                             c.results[i].downtimeMin);
-                c.records[i].recordHistogram("campaign.trial_worst_gap_min",
-                                             c.results[i].worstGapMin);
-                c.forensics.push_back(obs->reduce(c.records[i]));
-            }
+            if (presort)
+                CampaignAggregate::prepareChunk(c.parts, c.results.data(),
+                                                n, schedules, first - lo);
             return c;
         };
     bool stopped = false;
     const std::function<bool(std::uint64_t, Chunk &&)> consume =
         [&](std::uint64_t chunk, Chunk &&c) {
             const std::uint64_t first = lo + chunk * batch;
-            for (std::size_t i = 0; i < c.results.size(); ++i) {
-                agg.fold(c.results[i]);
-                if (obs)
-                    obs->fold(std::move(c.records[i]), c.forensics[i]);
-                if (!after(first + i)) {
-                    stopped = true;
-                    return false;
-                }
+            const std::function<bool(std::size_t)> step =
+                [&](std::size_t i) {
+                    if (obs)
+                        obs->fold(std::move(c.records[i]), c.forensics[i]);
+                    stopped = !after(first + i);
+                    return !stopped;
+                };
+            if (!c.parts.empty()) {
+                agg.foldChunk(c.results.data(), c.results.size(), c.parts,
+                              step);
+                return !stopped;
             }
-            return true;
+            for (std::size_t i = 0; i < c.results.size() && !stopped; ++i) {
+                agg.fold(c.results[i]);
+                step(i);
+            }
+            return !stopped;
         };
     CampaignOptions copts;
     copts.threads = threads;

@@ -26,6 +26,7 @@
 #include <optional>
 #include <ostream>
 #include <utility>
+#include <vector>
 
 #include "campaign/batch_kernel.hh"
 #include "campaign/online_stats.hh"
@@ -155,6 +156,40 @@ struct CampaignAggregate
     /** Fold one trial in (the next in trial order). */
     void fold(const AnnualResult &r);
 
+    /**
+     * @name Chunk fold
+     * fold() for a chunk of consecutive trials, with the same state,
+     * split so that the in-order part only merges. prepareChunk does
+     * each metric's sorting and summing (on a pool worker, while it
+     * still holds the chunk); foldChunk then merges the result in.
+     */
+    ///@{
+    /** Each metric's flush schedule from here on, in kMetrics order. */
+    using Schedules = std::array<FlushSchedule, 5>;
+    Schedules flushSchedules() const;
+
+    /**
+     * Prepare @p parts for trials r[0, n), which fold @p offset trials
+     * after the point where @p at was taken (n <= MetricChunk::kMaxLength).
+     * downtimeMin's chunk carries no sums: foldChunk adds them per trial.
+     */
+    static void prepareChunk(std::vector<MetricChunk> &parts,
+                             const AnnualResult *r, std::size_t n,
+                             const Schedules &at, std::uint64_t offset);
+
+    /**
+     * Fold trials r[0, n), prepared into @p parts, calling @p after(i)
+     * once trial i is folded. At that point only `trials`,
+     * `lossFreeTrials` and downtimeMin's sum() and sumSq() are up to
+     * date; everything else catches up when the chunk ends. Returning
+     * false stops the fold after trial i: the prefix r[0, i] stays
+     * folded, as if by fold(). Returns the number of trials folded.
+     */
+    std::size_t foldChunk(const AnnualResult *r, std::size_t n,
+                          const std::vector<MetricChunk> &parts,
+                          const std::function<bool(std::size_t)> &after);
+    ///@}
+
     /** Fold the aggregate of the trials that follow this one's. */
     void merge(const CampaignAggregate &other);
 
@@ -234,9 +269,16 @@ class TrialSource
  * The one in-order driver: fold trials [lo, hi) of @p source into
  * @p agg, strictly in trial-id order, on @p threads workers (0 = the
  * shared pool). When @p obs is non-null every trial records, and its
- * record folds into @p obs right beside its result. After each fold,
+ * record folds into @p obs right beside its result. After each trial,
  * @p after(id) runs with the global trial id; returning false stops
  * the fold there. Returns true when @p after stopped it.
+ *
+ * A batched source's chunks fold through CampaignAggregate::foldChunk,
+ * so @p after may read only what foldChunk keeps current per trial:
+ * agg.trials, agg.lossFreeTrials and agg.downtimeMin's sum() and
+ * sumSq(). Those are what its two callers read: the stop rule and the
+ * shard checkpoints. The whole aggregate is current once foldTrials
+ * returns.
  */
 bool foldTrials(CampaignAggregate &agg, const TrialSource &source,
                 std::uint64_t lo, std::uint64_t hi, int threads,

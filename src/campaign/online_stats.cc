@@ -61,6 +61,103 @@ MergingMetric::add(double x)
 }
 
 void
+MergingMetric::addSums(double x)
+{
+    sum_.add(x);
+    sumSq_.add(x * x);
+}
+
+void
+MergingMetric::foldChunk(const double *values, const MetricChunk &chunk)
+{
+    std::size_t begin = 0;
+    for (const MetricChunk::Piece &p : chunk.pieces) {
+        if (n_ == 0) {
+            min_ = p.min;
+            max_ = p.max;
+        } else {
+            min_ = std::min(min_, p.min);
+            max_ = std::max(max_, p.max);
+        }
+        n_ += p.end - begin;
+        digest_.addRun(values + begin, chunk.order.data() + begin,
+                       p.end - begin, p.min, p.max);
+        begin = p.end;
+    }
+    if (chunk.hasSums) {
+        sum_.merge(chunk.sum);
+        sumSq_.merge(chunk.sumSq);
+    }
+}
+
+FlushSchedule
+MergingMetric::flushSchedule() const
+{
+    return {digest_.untilFlush(), digest_.flushEvery()};
+}
+
+FlushSchedule
+FlushSchedule::advance(std::uint64_t k) const
+{
+    if (k < until)
+        return {until - static_cast<std::size_t>(k), every};
+    return {every - static_cast<std::size_t>((k - until) % every), every};
+}
+
+void
+MetricChunk::prepare(const double *values, std::size_t n,
+                     const FlushSchedule &schedule, bool sums)
+{
+    BPSIM_ASSERT(n >= 1 && n <= kMaxLength,
+                 "metric chunk of %zu observations", n);
+    /** An observation keyed for a stable sort by value. */
+    struct Keyed
+    {
+        double x;
+        std::uint16_t at;
+    };
+    std::vector<Keyed> keys(n);
+    order.resize(n);
+    pieces.clear();
+    std::size_t begin = 0;
+    std::size_t end = std::min(n, schedule.until);
+    while (begin < n) {
+        Piece p;
+        p.end = static_cast<std::uint32_t>(end);
+        p.min = p.max = values[begin];
+        for (std::size_t i = begin; i < end; ++i) {
+            BPSIM_ASSERT(std::isfinite(values[i]),
+                         "metric observation %g is not finite", values[i]);
+            keys[i - begin] = {values[i],
+                               static_cast<std::uint16_t>(i - begin)};
+            p.min = std::min(p.min, values[i]);
+            p.max = std::max(p.max, values[i]);
+        }
+        // Arrival order breaks ties, so the sort is stable.
+        std::sort(keys.begin(),
+                  keys.begin() + static_cast<std::ptrdiff_t>(end - begin),
+                  [](const Keyed &a, const Keyed &b) {
+                      if (a.x < b.x || b.x < a.x)
+                          return a.x < b.x;
+                      return a.at < b.at;
+                  });
+        for (std::size_t i = begin; i < end; ++i)
+            order[i] = keys[i - begin].at;
+        pieces.push_back(p);
+        begin = end;
+        end = std::min(n, end + schedule.every);
+    }
+    hasSums = sums;
+    sum = sumSq = ExactSum();
+    if (sums) {
+        for (std::size_t i = 0; i < n; ++i) {
+            sum.add(values[i]);
+            sumSq.add(values[i] * values[i]);
+        }
+    }
+}
+
+void
 MergingMetric::merge(const MergingMetric &other)
 {
     if (other.n_ == 0)

@@ -15,8 +15,10 @@
 #ifndef BPSIM_CAMPAIGN_ONLINE_STATS_HH
 #define BPSIM_CAMPAIGN_ONLINE_STATS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "campaign/exact_sum.hh"
 #include "campaign/tdigest.hh"
@@ -59,6 +61,58 @@ Moments momentsOf(std::uint64_t n, const ExactSum &sum,
                   const ExactSum &sumSq);
 
 /**
+ * Where a metric's digest flushes from some point of its input on:
+ * after the @c until-th next observation, then after every @c every
+ * observations (see TDigest::untilFlush()).
+ */
+struct FlushSchedule
+{
+    std::size_t until = 1;
+    std::size_t every = 1;
+
+    /** The same schedule @p k observations later. */
+    FlushSchedule advance(std::uint64_t k) const;
+};
+
+/**
+ * One metric's observations over a chunk of consecutive trials,
+ * prepared away from the in-order fold (a pool worker prepares it
+ * while it still holds the chunk) so that MergingMetric::foldChunk
+ * only merges: the chunk is cut at the digest's flush points, and
+ * each piece carries its stable sort permutation and its extremes.
+ */
+struct MetricChunk
+{
+    /** The observations up to one flush point. */
+    struct Piece
+    {
+        /** One past the piece's last observation (chunk offset). */
+        std::uint32_t end = 0;
+        /** First minimum and first maximum, as add() folds them. */
+        double min = 0.0;
+        double max = 0.0;
+    };
+
+    /** Each piece's stable ascending permutation, as piece offsets. */
+    std::vector<std::uint16_t> order;
+    std::vector<Piece> pieces;
+    /** Σx and Σx² of the chunk, when it carries them. */
+    bool hasSums = false;
+    ExactSum sum, sumSq;
+
+    /** Longest chunk a uint16_t permutation can index. */
+    static constexpr std::size_t kMaxLength = 65536;
+
+    /**
+     * Prepare values[0, n) (in fold order, n <= kMaxLength), whose
+     * digest flushes on @p schedule from values[0] on; with @p sums,
+     * also their exact sums.
+     */
+    void prepare(const double *values, std::size_t n,
+                 const FlushSchedule &schedule, bool sums);
+};
+
+/**
  * One campaign metric: integer count, ExactSum sums (so mean and
  * variance are bit-identical for any partition of the trials into
  * shards, checkpoints or resumes), exact min/max, and a t-digest for
@@ -70,6 +124,22 @@ class MergingMetric
   public:
     /** Add one per-trial observation. */
     void add(double x);
+
+    /**
+     * @name Chunk fold
+     * add() for a whole MetricChunk at once, with the same state.
+     * Σx and Σx² come from the chunk when it carries them; otherwise
+     * the caller adds each observation's with addSums() (the stop
+     * rule reads them after every trial).
+     */
+    ///@{
+    /** Add @p x to Σx and Σx² only. */
+    void addSums(double x);
+    /** Fold @p chunk, prepared from @p values (in fold order). */
+    void foldChunk(const double *values, const MetricChunk &chunk);
+    /** Where the digest flushes from here on. */
+    FlushSchedule flushSchedule() const;
+    ///@}
 
     /** Fold another metric in (exact except for digest placement). */
     void merge(const MergingMetric &other);

@@ -4,13 +4,20 @@
  *
  * A campaign is `trials` independent trials, each identified by a
  * dense trial id in [0, trials). The runner fans trials out across a
- * work-stealing thread pool and funnels the results through a reorder
- * buffer so the consumer sees them in strict trial-id order — which
- * makes every aggregate (exact sums, t-digests, early-stop
- * decisions, progress sequences) bit-identical for any thread count
- * and any scheduling, provided each trial is a pure function of its
- * id (derive per-trial randomness as `Rng::stream(seed, id)`, never
- * from shared state).
+ * thread pool and funnels the results through a reorder buffer so the
+ * consumer sees them in strict trial-id order — which makes every
+ * aggregate (exact sums, t-digests, early-stop decisions, progress
+ * sequences) bit-identical for any thread count and any scheduling,
+ * provided each trial is a pure function of its id (derive per-trial
+ * randomness as `Rng::stream(seed, id)`, never from shared state).
+ *
+ * Trials are claimed in id order: one pool item per worker, each
+ * taking the next id from a shared counter, and never more than four
+ * ids per worker ahead of the consumer. So the trials in flight are
+ * the next ones the consumer needs, and the reorder buffer stays
+ * within that window even while one trial stalls. (Striped index
+ * ranges would let a worker run far ahead of the consumer, and the
+ * buffer would hold its results until the consumer got there.)
  *
  * Early stop: the consumer returns false to stop the campaign. The
  * decision is evaluated on the in-order prefix only, so it too is
@@ -21,7 +28,7 @@
 #ifndef BPSIM_CAMPAIGN_RUNNER_HH
 #define BPSIM_CAMPAIGN_RUNNER_HH
 
-#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -87,14 +94,17 @@ runCampaign(std::uint64_t trials,
     if (trials == 0)
         return out;
 
-    std::mutex m;                          // guards buffer + next
+    std::mutex m; // guards everything below
+    std::condition_variable room; // next advanced, or stop was set
     std::map<std::uint64_t, Result> buffer; // finished, not yet consumed
-    std::uint64_t next = 0;                // next id to consume
-    std::atomic<bool> stop{false};
+    std::uint64_t next = 0;                 // next id to consume
+    std::uint64_t claimed = 0;              // next id to claim
+    bool stop = false;
+    std::uint64_t window = 0; // how far claims may run ahead of next
 
     auto deliver = [&](std::uint64_t id, Result &&r) {
         std::lock_guard<std::mutex> lk(m);
-        if (stop.load(std::memory_order_relaxed))
+        if (stop)
             return; // speculative trial beyond the stop index
         buffer.emplace(id, std::move(r));
         for (auto it = buffer.find(next); it != buffer.end();
@@ -104,7 +114,7 @@ runCampaign(std::uint64_t trials,
             const std::uint64_t ready_id = next++;
             const bool more = consume(ready_id, std::move(ready));
             if (!more)
-                stop.store(true, std::memory_order_relaxed);
+                stop = true;
             if (opts.progress && opts.progressEvery != 0 &&
                 (ready_id + 1 == trials || !more ||
                  (ready_id + 1) % opts.progressEvery == 0)) {
@@ -113,23 +123,40 @@ runCampaign(std::uint64_t trials,
             if (!more)
                 break;
         }
+        room.notify_all();
     };
 
-    const std::function<void(std::uint64_t)> body =
-        [&](std::uint64_t id) { deliver(id, trial(id)); };
-    const std::function<bool()> cancelled = [&] {
-        return stop.load(std::memory_order_relaxed);
+    const std::function<void(std::uint64_t)> worker = [&](std::uint64_t) {
+        for (;;) {
+            std::uint64_t id;
+            {
+                std::unique_lock<std::mutex> lk(m);
+                room.wait(lk, [&] {
+                    return stop || claimed == trials ||
+                           claimed - next < window;
+                });
+                if (stop || claimed == trials)
+                    return;
+                id = claimed++;
+            }
+            deliver(id, trial(id));
+        }
     };
 
+    const auto run = [&](WorkStealingPool &pool) {
+        const auto workers = static_cast<std::uint64_t>(pool.threadCount());
+        window = 4 * workers;
+        pool.parallelFor(workers, worker);
+    };
     if (opts.threads == 0) {
-        WorkStealingPool::shared().parallelFor(trials, body, cancelled);
+        run(WorkStealingPool::shared());
     } else {
         WorkStealingPool pool(opts.threads);
-        pool.parallelFor(trials, body, cancelled);
+        run(pool);
     }
 
     out.consumed = next;
-    out.stoppedEarly = stop.load() && next < trials;
+    out.stoppedEarly = stop && next < trials;
     return out;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "campaign/json.hh"
@@ -34,6 +35,14 @@ scaleQ(double k, double compression)
     return std::clamp((s + 1.0) / 2.0, 0.0, 1.0);
 }
 
+/** The flush order: ascending mean, then ascending weight. */
+constexpr auto byMeanThenWeight = [](const TDigest::Centroid &a,
+                                     const TDigest::Centroid &b) {
+    if (a.mean != b.mean)
+        return a.mean < b.mean;
+    return a.weight < b.weight;
+};
+
 } // namespace
 
 TDigest::TDigest(double compression) : compression_(compression)
@@ -62,6 +71,56 @@ TDigest::add(double x, double weight)
 }
 
 void
+TDigest::addRun(const double *values, const std::uint16_t *order,
+                std::size_t n, double lo, double hi)
+{
+    BPSIM_ASSERT(n >= 1 && (n == 1 || buffer_.size() + n - 1 < flushEvery()),
+                 "t-digest run of %zu straddles a flush (%zu of %zu buffered)",
+                 n, buffer_.size(), flushEvery());
+    if (count_ == 0) {
+        min_ = lo;
+        max_ = hi;
+    } else {
+        min_ = std::min(min_, lo);
+        max_ = std::max(max_, hi);
+    }
+    count_ += n;
+    sealTail();
+    for (std::size_t i = 0; i < n; ++i)
+        buffer_.push_back({values[i], 1.0});
+    for (std::size_t i = 0; i < n; ++i)
+        sorted_.push_back({values[order[i]], 1.0});
+    cuts_.push_back(sorted_.size());
+    if (buffer_.size() >= flushEvery())
+        flush();
+}
+
+std::size_t
+TDigest::flushEvery() const
+{
+    return static_cast<std::size_t>(8.0 * compression_);
+}
+
+std::size_t
+TDigest::untilFlush() const
+{
+    const std::size_t cap = flushEvery();
+    return buffer_.size() >= cap ? 1 : cap - buffer_.size();
+}
+
+void
+TDigest::sealTail() const
+{
+    if (sorted_.size() == buffer_.size())
+        return;
+    const auto from = static_cast<std::ptrdiff_t>(sorted_.size());
+    sorted_.insert(sorted_.end(), buffer_.begin() + from, buffer_.end());
+    std::stable_sort(sorted_.begin() + from, sorted_.end(),
+                     byMeanThenWeight);
+    cuts_.push_back(sorted_.size());
+}
+
+void
 TDigest::merge(const TDigest &other)
 {
     if (other.count_ == 0)
@@ -81,22 +140,48 @@ TDigest::merge(const TDigest &other)
         flush();
 }
 
+std::vector<TDigest::Centroid>
+TDigest::mergeRuns() const
+{
+    // The centroids need their own sort, since equal means can leave
+    // them in descending weight.
+    std::vector<Centroid> points(centroids_);
+    std::stable_sort(points.begin(), points.end(), byMeanThenWeight);
+    sealTail();
+    std::vector<Centroid> merged;
+    merged.reserve(centroids_.size() + buffer_.size());
+    std::size_t begin = 0;
+    for (const std::size_t end : cuts_) {
+        merged.clear();
+        std::merge(points.begin(), points.end(),
+                   sorted_.begin() + static_cast<std::ptrdiff_t>(begin),
+                   sorted_.begin() + static_cast<std::ptrdiff_t>(end),
+                   std::back_inserter(merged), byMeanThenWeight);
+        points.swap(merged);
+        begin = end;
+    }
+    sorted_.clear();
+    cuts_.clear();
+    return points;
+}
+
 void
 TDigest::flush() const
 {
     if (buffer_.empty())
         return;
     std::vector<Centroid> points;
-    points.reserve(centroids_.size() + buffer_.size());
-    points.insert(points.end(), centroids_.begin(), centroids_.end());
-    points.insert(points.end(), buffer_.begin(), buffer_.end());
+    if (cuts_.empty()) {
+        points.reserve(centroids_.size() + buffer_.size());
+        points.insert(points.end(), centroids_.begin(), centroids_.end());
+        points.insert(points.end(), buffer_.begin(), buffer_.end());
+        std::stable_sort(points.begin(), points.end(), byMeanThenWeight);
+    } else {
+        // A stable sort of centroids ++ buffer is the left-biased
+        // merge of its stably sorted pieces, taken in order.
+        points = mergeRuns();
+    }
     buffer_.clear();
-    std::stable_sort(points.begin(), points.end(),
-                     [](const Centroid &a, const Centroid &b) {
-                         if (a.mean != b.mean)
-                             return a.mean < b.mean;
-                         return a.weight < b.weight;
-                     });
 
     double total = 0.0;
     for (const auto &p : points)

@@ -11,15 +11,21 @@
  *
  * Determinism: feeding the same observations in the same order yields
  * bit-identical state, and merging the same digests in the same order
- * is likewise reproducible. Merging in a *different* order changes
- * centroid placement slightly — quantiles then agree to within the
- * sketch's rank error, not bitwise (the exact aggregates that must be
- * bit-stable across shardings live in ExactSum instead).
+ * is likewise reproducible. That holds whether the observations arrive
+ * one by one (add) or as presorted runs (addRun): the buffer keeps
+ * arrival order either way, and a flush's stable sort of the centroids
+ * and the buffer equals the left-biased merge of its stably sorted
+ * pieces taken in order, so a run only saves the flush its sort.
+ * Merging in a *different* order changes centroid placement
+ * slightly — quantiles then agree to within the sketch's rank error,
+ * not bitwise (the exact aggregates that must be bit-stable across
+ * shardings live in ExactSum instead).
  */
 
 #ifndef BPSIM_CAMPAIGN_TDIGEST_HH
 #define BPSIM_CAMPAIGN_TDIGEST_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -50,6 +56,27 @@ class TDigest
 
     /** Add one observation with the given weight. */
     void add(double x, double weight = 1.0);
+
+    /**
+     * Add @p n unit-weight observations, with the state n add() calls
+     * would leave. @p values are in arrival order; @p order is their
+     * stable ascending permutation (ties keep arrival order), and
+     * @p lo / @p hi are the first minimum and the first maximum, as a
+     * std::min / std::max fold finds them. The next flush merges the
+     * run instead of sorting it. A run must not straddle a flush: only
+     * its last observation may fill the buffer (see untilFlush()).
+     */
+    void addRun(const double *values, const std::uint16_t *order,
+                std::size_t n, double lo, double hi);
+
+    /** Buffer capacity: a flush every this many buffered points. */
+    std::size_t flushEvery() const;
+
+    /**
+     * Observations until the next flush, counting the one that
+     * triggers it (1 when the buffer is already full).
+     */
+    std::size_t untilFlush() const;
 
     /** Fold another digest into this one. */
     void merge(const TDigest &other);
@@ -110,6 +137,11 @@ class TDigest
     /** Sort the buffer into the centroid list and re-cluster. */
     void flush() const;
 
+    /** Stable-sort the buffered points past the last run into sorted_. */
+    void sealTail() const;
+    /** The flush order of the centroids and a buffer holding runs. */
+    std::vector<Centroid> mergeRuns() const;
+
     double compression_;
     std::uint64_t count_ = 0;
     double min_ = 0.0, max_ = 0.0;
@@ -117,6 +149,13 @@ class TDigest
      * read-side accessors can stay const. */
     mutable std::vector<Centroid> centroids_;
     mutable std::vector<Centroid> buffer_;
+    /**
+     * Sorted copies of a prefix of buffer_, piece by piece: piece i is
+     * sorted_[cuts_[i-1], cuts_[i]). Empty unless addRun was called
+     * since the last flush; not part of the serialized state.
+     */
+    mutable std::vector<Centroid> sorted_;
+    mutable std::vector<std::size_t> cuts_;
 };
 
 } // namespace bpsim

@@ -56,8 +56,7 @@ WorkStealingPool::~WorkStealingPool()
 
 void
 WorkStealingPool::parallelFor(std::uint64_t n,
-                              const std::function<void(std::uint64_t)> &fn,
-                              const std::function<bool()> &cancelled)
+                              const std::function<void(std::uint64_t)> &fn)
 {
     if (n == 0)
         return;
@@ -67,17 +66,13 @@ WorkStealingPool::parallelFor(std::uint64_t n,
     // interleaved jobs would corrupt the single job slot.
     std::unique_lock<std::mutex> submit(submit_m, std::try_to_lock);
     if (inside_worker || !submit.owns_lock()) {
-        for (std::uint64_t i = 0; i < n; ++i) {
-            if (cancelled && cancelled())
-                return;
+        for (std::uint64_t i = 0; i < n; ++i)
             fn(i);
-        }
         return;
     }
 
     Job j;
     j.fn = &fn;
-    j.cancelled = cancelled ? &cancelled : nullptr;
     j.remaining = n;
 
     // Seed every worker with a contiguous stripe of the index space;
@@ -99,7 +94,7 @@ WorkStealingPool::parallelFor(std::uint64_t n,
     }
     job_cv.notify_all();
 
-    // All items ran or were discarded...
+    // All items ran...
     {
         std::unique_lock<std::mutex> lk(j.done_m);
         j.done_cv.wait(lk, [&] { return j.remaining == 0; });
@@ -198,10 +193,6 @@ WorkStealingPool::runJob(std::size_t self, Job *j)
             }
             if (!found)
                 return;
-        }
-        if (j->cancelled && (*j->cancelled)()) {
-            finishItems(j, r.end - r.begin);
-            continue;
         }
         // Keep the front item; expose the rest to thieves (the back
         // of the deque keeps the largest splits).

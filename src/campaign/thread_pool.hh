@@ -55,18 +55,14 @@ class WorkStealingPool
 
     /**
      * Run fn(i) for every i in [0, n), blocking until every item has
-     * either run or been discarded. When @p cancelled is provided it
-     * is polled between items; once it returns true the remaining
-     * items are discarded without running. Each item runs at most
-     * once, on exactly one worker.
+     * run. Each item runs exactly once, on exactly one worker.
      *
      * Calls from within a worker of this pool (or while another job
      * is in flight) degrade to a serial inline loop, so nesting can
      * never deadlock.
      */
     void parallelFor(std::uint64_t n,
-                     const std::function<void(std::uint64_t)> &fn,
-                     const std::function<bool()> &cancelled = {});
+                     const std::function<void(std::uint64_t)> &fn);
 
   private:
     /** Half-open index range [begin, end). */
@@ -87,8 +83,7 @@ class WorkStealingPool
     struct Job
     {
         const std::function<void(std::uint64_t)> *fn = nullptr;
-        const std::function<bool()> *cancelled = nullptr;
-        /** Items not yet run/discarded; guarded by done_m. */
+        /** Items not yet run; guarded by done_m. */
         std::uint64_t remaining = 0;
         /** Workers currently inside runJob; guarded by the pool's job_m. */
         int active = 0;

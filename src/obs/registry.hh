@@ -30,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "obs/histogram.hh"
 
@@ -135,6 +136,40 @@ class Registry
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::unique_ptr<TimerStat>> timers_;
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+};
+
+/**
+ * A registry counter looked up by name on its first add() only. It
+ * enters the registry (and so the exports) at its first event, as a
+ * `registry.counter(name).add()` at the site would, but later events
+ * build no name and take no registry lock. A null registry counts
+ * nothing.
+ */
+class LazyCounter
+{
+  public:
+    LazyCounter(Registry *registry, std::string name)
+        : registry_(registry), name_(std::move(name))
+    {
+    }
+
+    void add(std::uint64_t n = 1)
+    {
+        Counter *c = counter_.load(std::memory_order_acquire);
+        if (c == nullptr) {
+            if (registry_ == nullptr)
+                return;
+            // Racing first adds resolve to the same counter.
+            c = &registry_->counter(name_);
+            counter_.store(c, std::memory_order_release);
+        }
+        c->add(n);
+    }
+
+  private:
+    Registry *const registry_;
+    const std::string name_;
+    std::atomic<Counter *> counter_{nullptr};
 };
 
 /**

@@ -128,10 +128,13 @@ PowerHierarchy::recomputeMix()
         const Watts threshold = cfg.peakShaveThresholdW;
         if (threshold > 0.0 && ups_ && load_ > threshold) {
             const Watts excess = load_ - threshold;
-            // Require a millisecond of genuine runtime so a string
-            // rounding to empty cannot re-arm a zero-delay cycle.
-            const Time tte = ups_->timeToEmpty(excess);
-            if (ups_->canCarry(excess) && tte >= kMillisecond) {
+            // An excess over the UPS rating has no runtime to ask
+            // for. Otherwise require a millisecond of genuine runtime,
+            // so a string rounding to empty cannot re-arm a zero-delay
+            // cycle.
+            const Time tte =
+                ups_->canCarry(excess) ? ups_->timeToEmpty(excess) : 0;
+            if (tte >= kMillisecond) {
                 batteryShare = excess;
                 from_utility = threshold;
                 if (tte != kTimeNever) {

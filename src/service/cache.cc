@@ -22,7 +22,11 @@ ResultCache::ResultCache(std::size_t maxEntries, obs::Registry *registry,
                          std::string prefix)
     : maxEntries_(maxEntries == 0 ? 1 : maxEntries),
       registry_(registry),
-      prefix_(std::move(prefix))
+      prefix_(std::move(prefix)),
+      hitCount_(registry, prefix_ + ".hits"),
+      missCount_(registry, prefix_ + ".misses"),
+      evictionCount_(registry, prefix_ + ".evictions"),
+      insertionCount_(registry, prefix_ + ".insertions")
 {
 }
 
@@ -36,12 +40,12 @@ ResultCache::get(const std::string &key, bool countMiss)
         if (!countMiss)
             return std::nullopt;
         ++stats_.misses;
-        count(".misses");
+        missCount_.add();
         return std::nullopt;
     }
     lru_.splice(lru_.begin(), lru_, it->second);
     ++stats_.hits;
-    count(".hits");
+    hitCount_.add();
     return it->second->value;
 }
 
@@ -78,13 +82,13 @@ ResultCache::put(const std::string &key, std::string value)
         index_.erase(victim.hash);
         lru_.pop_back();
         ++stats_.evictions;
-        count(".evictions");
+        evictionCount_.add();
     }
     stats_.valueBytes += value.size();
     lru_.push_front(Entry{h, key, std::move(value)});
     index_[h] = lru_.begin();
     ++stats_.insertions;
-    count(".insertions");
+    insertionCount_.add();
     touchCounters();
 }
 
@@ -105,13 +109,6 @@ ResultCache::stats() const
     CacheStats s = stats_;
     s.entries = lru_.size();
     return s;
-}
-
-void
-ResultCache::count(const char *suffix)
-{
-    if (registry_ != nullptr)
-        registry_->counter(prefix_ + suffix).add(1);
 }
 
 void

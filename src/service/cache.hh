@@ -96,14 +96,14 @@ class ResultCache
         std::string value;
     };
 
-    /** Add one to counter prefix + @p suffix (when there is a
-     *  registry). */
-    void count(const char *suffix);
     void touchCounters();
 
     const std::size_t maxEntries_;
     obs::Registry *const registry_;
     const std::string prefix_;
+    /** prefix + ".hits" and so on. */
+    obs::LazyCounter hitCount_, missCount_, evictionCount_,
+        insertionCount_;
 
     mutable std::mutex m_;
     /** Front = most recently used. */

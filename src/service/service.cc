@@ -106,7 +106,7 @@ CampaignService::handle(const HttpRequest &req)
 HttpResponse
 CampaignService::handle(const HttpRequest &req, HttpConnectionIo *io)
 {
-    registry_.counter("service.requests").add(1);
+    requestCount_.add();
 
     const Endpoint ep = endpointOf(req.target);
     const std::string *cid = req.header("x-bpsim-request-id");

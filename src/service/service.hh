@@ -295,6 +295,8 @@ class CampaignService
     ServiceOptions opts_;
     /** Declared before every member that publishes into it. */
     obs::Registry registry_;
+    /** "service.requests", bumped by every handle(). */
+    obs::LazyCounter requestCount_{&registry_, "service.requests"};
     ResultCache cache_;
     /** Serialized CampaignCheckpoints keyed by "ckpt|" + base key. */
     ResultCache ckptCache_;

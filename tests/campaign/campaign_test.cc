@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -83,6 +84,35 @@ TEST(CampaignRunner, ProgressCallbacksAreInOrderAndSerialized)
     const std::vector<std::uint64_t> expect{10, 20, 30, 40, 50,
                                             60, 70, 80, 90, 95};
     EXPECT_EQ(ticks, expect);
+}
+
+TEST(CampaignRunner, ClaimsTrialsInIdOrder)
+{
+    // Each worker claims the next id only after starting its last
+    // trial, so when trial `id` starts, at most threads - 1 smaller
+    // ids (one per other worker) can still be waiting to start:
+    // position + threads > id. Striped index ranges would start some
+    // worker's first trial far ahead of the consumer.
+    constexpr int kThreads = 4;
+    constexpr std::uint64_t kN = 200;
+    std::mutex m;
+    std::vector<std::uint64_t> started;
+    CampaignOptions opts;
+    opts.threads = kThreads;
+    runCampaign<std::uint64_t>(
+        kN,
+        [&](std::uint64_t id) {
+            {
+                std::lock_guard<std::mutex> lk(m);
+                started.push_back(id);
+            }
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            return id;
+        },
+        [](std::uint64_t, std::uint64_t &&) { return true; }, opts);
+    ASSERT_EQ(started.size(), kN);
+    for (std::uint64_t pos = 0; pos < kN; ++pos)
+        ASSERT_LT(started[pos], pos + kThreads) << "position " << pos;
 }
 
 TEST(ParallelMap, PreservesOrder)
@@ -269,6 +299,30 @@ TEST(AnnualCampaign, LongCampaignSerialMatchesParallel)
     const auto parallel = runAnnualCampaign(testSpec(), opts);
 
     EXPECT_EQ(fingerprint(serial), fingerprint(parallel));
+}
+
+TEST(AnnualCampaign, BatchedEarlyStopMidChunkMatchesScalar)
+{
+    // The stop rule fires part-way through a 256-trial chunk, past
+    // the first digest flush: the batched fold must keep exactly the
+    // same prefix, with the same bytes, as the trial-by-trial fold.
+    AnnualCampaignOptions opts;
+    opts.maxTrials = 4000;
+    opts.seed = 2014;
+    opts.minTrials = 16;
+    opts.ciRelTol = 0.08;
+    opts.threads = 1;
+    const auto scalar = runAnnualCampaign(testSpec(), opts);
+    ASSERT_TRUE(scalar.stoppedEarly);
+    ASSERT_GT(scalar.trials, 800u);
+    ASSERT_NE(scalar.trials % 256, 0u) << "the stop fell on a chunk boundary";
+
+    opts.batch = 256;
+    opts.threads = 4;
+    const auto batched = runAnnualCampaign(testSpec(), opts);
+    EXPECT_EQ(fingerprint(batched), fingerprint(scalar));
+    EXPECT_EQ(batched.trials, scalar.trials);
+    EXPECT_TRUE(batched.stoppedEarly);
 }
 
 TEST(AnnualCampaign, EarlyStoppedRecordingRetainsOnlyAggregatedTrials)

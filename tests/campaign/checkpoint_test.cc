@@ -219,6 +219,42 @@ TEST(CampaignCheckpoint, MaskedBudgetBoundaryStopIsReDerived)
     EXPECT_EQ(summaryJson(resumed.summary), summaryJson(fresh));
 }
 
+TEST(CampaignCheckpoint, BatchedResumeFromAMergedAggregateMatchesScalar)
+{
+    // A merge leaves each metric's digest buffer at its own fill, so
+    // the batched fold cuts each metric's chunks at different flush
+    // points. Without and with a stop rule that fires mid-chunk, the
+    // batched resume must equal the scalar one.
+    const auto spec = testSpec();
+    ShardSpec head = shardOf(kSeed, 2600, 0, 1), tail = head;
+    head.hi = tail.lo = 100;
+    CampaignAggregate from = runAnnualShard(spec, head);
+    from.merge(runAnnualShard(spec, tail));
+    const auto at = from.flushSchedules();
+    bool differ = false;
+    for (const FlushSchedule &s : at)
+        differ = differ || s.until != at[0].until;
+    ASSERT_TRUE(differ) << "the merged digests share one buffer fill";
+
+    for (const double tol : {0.0, 0.05}) {
+        auto scalar = fixedOpts(4000);
+        scalar.minTrials = 16;
+        scalar.ciRelTol = tol;
+        auto batched = scalar;
+        batched.batch = 256;
+        batched.threads = 4;
+        const auto want = resumeAnnualCampaign(spec, scalar, from);
+        if (tol > 0.0) {
+            ASSERT_TRUE(want.stoppedEarly) << "tolerance never fired";
+            ASSERT_NE((want.trials - from.trials) % 256, 0u)
+                << "the stop fell on a chunk boundary";
+        }
+        EXPECT_EQ(summaryJson(resumeAnnualCampaign(spec, batched, from)),
+                  summaryJson(want))
+            << "tolerance " << tol;
+    }
+}
+
 TEST(CampaignCheckpoint, EarlyStoppedRecordingHoldsOnlyFoldedTrials)
 {
     // Workers run trials past the stop index speculatively; those

@@ -1,15 +1,19 @@
 /**
  * @file
  * Tests for the online campaign statistics: the per-metric aggregate
- * (moments, quantile readouts) and Wilson binomial intervals.
+ * (moments, quantile readouts, the chunk fold) and Wilson binomial
+ * intervals.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "campaign/json.hh"
 #include "campaign/online_stats.hh"
 #include "sim/random.hh"
 
@@ -133,6 +137,64 @@ TEST(MergingMetric, MeanCiHalfWidthMatchesFormula)
     MergingMetric one;
     one.add(5.0);
     EXPECT_DOUBLE_EQ(one.meanCiHalfWidth(), 0.0);
+}
+
+std::string
+stateOf(const MergingMetric &m)
+{
+    std::ostringstream os;
+    JsonWriter w(os);
+    m.writeJson(w);
+    return os.str();
+}
+
+TEST(FlushSchedule, AdvanceCountsDownThenRepeats)
+{
+    const FlushSchedule s{5, 800};
+    EXPECT_EQ(s.advance(0).until, 5u);
+    EXPECT_EQ(s.advance(4).until, 1u);
+    EXPECT_EQ(s.advance(5).until, 800u);
+    EXPECT_EQ(s.advance(805).until, 800u);
+    EXPECT_EQ(s.advance(1000).until, 605u);
+    EXPECT_EQ(s.advance(1000).every, 800u);
+}
+
+TEST(MergingMetric, FoldChunkMatchesAddsWithAndWithoutChunkSums)
+{
+    // Chunks of every shape: one value, pieces cut at flush points,
+    // and more values than a flush cycle. Half the values are zeros,
+    // the first one -0.0 and the rest +0.0, on the minimum side
+    // (side +1) or the maximum side (side -1). There the digest keeps
+    // a singleton centroid, so the bytes show which zero sorts first
+    // (sort stability) and which one min() and max() report (the
+    // first, as std::min/std::max fold them).
+    for (const double side : {1.0, -1.0}) {
+        Rng rng(9);
+        std::vector<double> xs(6000);
+        for (auto &x : xs)
+            x = rng.nextU64() % 2 == 0 ? 0.0 : side * rng.exponential(3.0);
+        xs[0] = -0.0;
+        for (const bool chunkSums : {true, false}) {
+            MergingMetric one, chunked;
+            for (std::size_t begin = 0; begin < xs.size();) {
+                const std::size_t n = std::min<std::size_t>(
+                    xs.size() - begin, 1 + rng.nextU64() % 2000);
+                MetricChunk c;
+                c.prepare(xs.data() + begin, n, chunked.flushSchedule(),
+                          chunkSums);
+                for (std::size_t i = begin; i < begin + n; ++i) {
+                    one.add(xs[i]);
+                    if (!chunkSums)
+                        chunked.addSums(xs[i]);
+                }
+                chunked.foldChunk(xs.data() + begin, c);
+                ASSERT_EQ(stateOf(chunked), stateOf(one))
+                    << "side " << side << " after " << begin + n
+                    << " chunk sums " << chunkSums;
+                begin += n;
+            }
+        }
+    }
 }
 
 } // namespace

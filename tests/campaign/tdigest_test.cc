@@ -3,14 +3,18 @@
  * Property tests for the t-digest quantile sketch: rank-error bounds
  * against exact order statistics on uniform/lognormal/bimodal data,
  * merge associativity (approximate), determinism, and bitwise JSON
- * round-tripping — the guarantees the shard merge layer leans on.
+ * round-tripping — the guarantees the shard merge layer leans on —
+ * and bit-identity of presorted runs (addRun) with single adds.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "campaign/json.hh"
@@ -301,6 +305,169 @@ TEST(TDigest, WeightedAdds)
     }
     EXPECT_EQ(td.count(), expanded.size());
     expectRankAccurate(td, expanded, 0.012);
+}
+
+/** Both serializations of @p td: exact state, then flushed. */
+std::string
+bytesOf(const TDigest &td)
+{
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.beginArray();
+    td.writeStateJson(w);
+    td.writeJson(w);
+    w.endArray();
+    return os.str();
+}
+
+/**
+ * Values with many exact ties, both zeros among them. With @p side
+ * +1 every value is >= 0 and with -1 every value is <= 0, so the
+ * zeros are the minimum or the maximum: there the digest keeps a
+ * singleton centroid, and which zero sorts first or last (sort
+ * stability) and which one min()/max() report (std::min/std::max's
+ * leftmost choice) show in the bytes. Side 0 mixes signs.
+ */
+std::vector<double>
+tiedSample(std::uint64_t seed, std::size_t n, int side = 0)
+{
+    Rng rng(seed);
+    const double pool[] = {-0.0, 0.0, 1.0, 2.5, -3.0, 1e-300, 7.0};
+    std::vector<double> xs(n);
+    for (auto &x : xs) {
+        const std::uint64_t k = rng.nextU64() % 10;
+        x = k < 7 ? pool[k] : rng.uniform(-5.0, 12.0);
+        if (side != 0 && x != 0.0)
+            x = side * std::abs(x);
+    }
+    return xs;
+}
+
+/**
+ * Feed xs[0, n) to @p td as runs of random lengths, each cut at the
+ * digest's next flush point, with the order and extremes a worker
+ * would compute: a stable sort, then std::min/std::max folds.
+ */
+void
+addAsRuns(TDigest &td, const double *xs, std::size_t n, Rng &rng)
+{
+    for (std::size_t begin = 0; begin < n;) {
+        const std::size_t len =
+            std::min({n - begin, td.untilFlush(),
+                      static_cast<std::size_t>(1 + rng.nextU64() % 300)});
+        std::vector<std::uint16_t> order(len);
+        std::iota(order.begin(), order.end(), std::uint16_t{0});
+        const double *run = xs + begin;
+        std::stable_sort(order.begin(), order.end(),
+                         [run](std::uint16_t a, std::uint16_t b) {
+                             return run[a] < run[b];
+                         });
+        double lo = run[0], hi = run[0];
+        for (std::size_t i = 0; i < len; ++i) {
+            lo = std::min(lo, run[i]);
+            hi = std::max(hi, run[i]);
+        }
+        td.addRun(run, order.data(), len, lo, hi);
+        begin += len;
+    }
+}
+
+TEST(TDigestRuns, MatchSingleAddsAtEveryFlushOffset)
+{
+    // Each pre-fill puts the first run at a different buffer offset,
+    // so runs end at, just before and just after every flush point.
+    const std::vector<double> sides[] = {
+        tiedSample(3, 1800, 0), tiedSample(4, 1800, 1),
+        tiedSample(5, 1800, -1)};
+    for (std::size_t fill = 0; fill < 800; ++fill) {
+        const std::vector<double> &xs = sides[fill % 3];
+        TDigest one, runs;
+        for (std::size_t i = 0; i < fill; ++i) {
+            one.add(xs[i]);
+            runs.add(xs[i]);
+        }
+        for (std::size_t i = fill; i < xs.size(); ++i)
+            one.add(xs[i]);
+        Rng rng(fill);
+        addAsRuns(runs, xs.data() + fill, xs.size() - fill, rng);
+        ASSERT_EQ(bytesOf(runs), bytesOf(one)) << "pre-fill " << fill;
+    }
+}
+
+TEST(TDigestRuns, MatchSingleAddsRunByRun)
+{
+    // The unflushed state matches after every run, not only at the end.
+    for (const int side : {0, 1, -1}) {
+        const auto xs = tiedSample(8, 5000, side);
+        TDigest one, runs;
+        Rng rng(8);
+        for (std::size_t begin = 0; begin < xs.size();) {
+            const std::size_t len =
+                std::min(xs.size() - begin,
+                         static_cast<std::size_t>(1 + rng.nextU64() % 700));
+            for (std::size_t i = begin; i < begin + len; ++i)
+                one.add(xs[i]);
+            addAsRuns(runs, xs.data() + begin, len, rng);
+            ASSERT_EQ(bytesOf(runs), bytesOf(one))
+                << "side " << side << " after " << begin + len;
+            begin += len;
+        }
+    }
+}
+
+TEST(TDigestRuns, MatchSingleAddsAfterARestoredPartialBuffer)
+{
+    const auto xs = tiedSample(21, 3000, 1);
+    TDigest one;
+    for (std::size_t i = 0; i < 1234; ++i)
+        one.add(xs[i]);
+    std::ostringstream os;
+    {
+        JsonWriter w(os);
+        one.writeStateJson(w);
+    }
+    const auto doc = parseJson(os.str());
+    ASSERT_TRUE(doc.has_value());
+    auto runs = TDigest::fromStateJson(*doc);
+    ASSERT_TRUE(runs.has_value());
+    for (std::size_t i = 1234; i < xs.size(); ++i)
+        one.add(xs[i]);
+    Rng rng(21);
+    addAsRuns(*runs, xs.data() + 1234, xs.size() - 1234, rng);
+    EXPECT_EQ(bytesOf(*runs), bytesOf(one));
+}
+
+TEST(TDigestRuns, MatchSingleAddsAfterAMerge)
+{
+    // merge() leaves weighted centroids in the buffer, so the next
+    // flush merges runs with a sorted range of unequal weights.
+    const auto xs = tiedSample(34, 4000, -1);
+    for (const std::size_t split : {300, 799, 1234}) {
+        TDigest head, other;
+        for (std::size_t i = 0; i < split; ++i)
+            head.add(xs[i]);
+        for (std::size_t i = split; i < 2 * split; ++i)
+            other.add(xs[i]);
+        head.merge(other);
+        TDigest one = head, runs = head;
+        for (std::size_t i = 2 * split; i < xs.size(); ++i)
+            one.add(xs[i]);
+        Rng rng(split);
+        addAsRuns(runs, xs.data() + 2 * split, xs.size() - 2 * split, rng);
+        EXPECT_EQ(bytesOf(runs), bytesOf(one)) << "split " << split;
+    }
+}
+
+TEST(TDigestRuns, UntilFlushCountsDownToTheFlushingAdd)
+{
+    TDigest td;
+    EXPECT_EQ(td.flushEvery(), 800u);
+    EXPECT_EQ(td.untilFlush(), 800u);
+    for (int i = 0; i < 799; ++i)
+        td.add(1.0);
+    EXPECT_EQ(td.untilFlush(), 1u);
+    td.add(1.0); // flushes
+    EXPECT_EQ(td.untilFlush(), 800u);
 }
 
 } // namespace

@@ -75,6 +75,23 @@ TEST(Registry, CounterGaugeTimerRoundTripValues)
     EXPECT_EQ(reg.counterSnapshot().at("t.count"), 1u);
 }
 
+TEST(Registry, LazyCounterRegistersOnItsFirstAdd)
+{
+    obs::Registry reg;
+    obs::LazyCounter hits(&reg, "cache.hits");
+    EXPECT_TRUE(reg.counterSnapshot().empty());
+    hits.add();
+    hits.add(2);
+    const auto snap = reg.counterSnapshot();
+    ASSERT_EQ(snap.size(), 1u);
+    EXPECT_EQ(snap.at("cache.hits"), 3u);
+    EXPECT_EQ(reg.counter("cache.hits").value(), 3u);
+
+    obs::LazyCounter nowhere(nullptr, "cache.hits");
+    nowhere.add(); // counts nothing, and must not crash
+    EXPECT_EQ(reg.counter("cache.hits").value(), 3u);
+}
+
 TEST(Registry, TimersAccumulateMonotonically)
 {
     obs::Registry reg;

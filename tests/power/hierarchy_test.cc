@@ -352,6 +352,30 @@ TEST(PowerHierarchy, OfflineUpsHasTheTenMillisecondGap)
     EXPECT_EQ(h.mode(), PowerHierarchy::Mode::OnBattery);
 }
 
+TEST(PowerHierarchy, PeakShavingSkipsAnExcessOverTheUpsRating)
+{
+    // Shaving 1500 W off the top of a 2000 W load asks a 1000 W UPS
+    // for more than it is rated to give. The grid keeps the whole
+    // load; the battery is never asked for a runtime at that load
+    // (such a question aborts in PeukertBattery). An excess the UPS
+    // can carry is still shaved.
+    Simulator sim;
+    Utility u(sim);
+    PowerHierarchy::Config cfg = upsOnly(1000.0, 600.0);
+    cfg.peakShaveThresholdW = 500.0;
+    PowerHierarchy h(sim, u, cfg);
+    h.setLoad(2000.0);
+    sim.runUntil(kMinute);
+    EXPECT_EQ(h.mode(), PowerHierarchy::Mode::OnUtility);
+    EXPECT_DOUBLE_EQ(h.batteryShareW(), 0.0);
+    EXPECT_DOUBLE_EQ(h.utilityShareW(), 2000.0);
+
+    h.setLoad(1200.0);
+    sim.runUntil(2 * kMinute);
+    EXPECT_DOUBLE_EQ(h.batteryShareW(), 700.0);
+    EXPECT_DOUBLE_EQ(h.utilityShareW(), 500.0);
+}
+
 TEST(PowerHierarchy, NegativeLoadPanics)
 {
     Simulator sim;
