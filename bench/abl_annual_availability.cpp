@@ -83,7 +83,7 @@ main()
     std::printf("(workload: Specjbb x 8; defense: Throttle+Sleep-L "
                 "hybrid where a UPS exists;\n campaign engine on %d "
                 "thread(s))\n\n",
-                WorkStealingPool::hardwareThreads());
+                ThreadPool::hardwareThreads());
 
     std::printf("%-20s %7s %16s %10s %19s %12s\n", "configuration",
                 "cost", "E[down] min/yr", "P95 down",
@@ -196,7 +196,7 @@ main()
                     total_wall > 0.0
                         ? static_cast<double>(total_trials) / total_wall
                         : 0.0);
-            w.field("threads", WorkStealingPool::hardwareThreads());
+            w.field("threads", ThreadPool::hardwareThreads());
             w.key("nvdimm").beginObject();
             w.field("mean_downtime_min", nv.downtimeMin.mean());
             w.field("p95_downtime_min", nv.downtimeMin.p95());

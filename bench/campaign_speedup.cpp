@@ -60,7 +60,7 @@ runWith(int threads, std::uint64_t trials)
 int
 main()
 {
-    const int hw = WorkStealingPool::hardwareThreads();
+    const int hw = ThreadPool::hardwareThreads();
 
     double serialBest = 1e300, parallelBest = 1e300;
     for (int r = 0; r < kRepetitions; ++r) {

@@ -239,7 +239,7 @@ main()
             w.field("trials", mc.trials);
             w.field("wall_seconds", mc.wallSeconds);
             w.field("trials_per_sec", mc.trialsPerSec);
-            w.field("threads", WorkStealingPool::hardwareThreads());
+            w.field("threads", ThreadPool::hardwareThreads());
             writeMetricJson(w, "campaign_downtime_min", mc.downtimeMin);
             w.key("verdicts").beginArray();
             for (const auto &r : records) {

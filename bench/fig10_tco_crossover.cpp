@@ -106,7 +106,7 @@ main()
     std::printf("\nMonte Carlo over %llu sampled years (campaign "
                 "engine, %d thread(s)):\n",
                 static_cast<unsigned long long>(mc.trials),
-                WorkStealingPool::hardwareThreads());
+                ThreadPool::hardwareThreads());
     std::printf("  exposure min/yr: mean %.0f, P50 %.0f, P95 %.0f, "
                 "P99 %.0f\n",
                 mc.downtimeMin.mean(), mc.downtimeMin.p50(),
@@ -124,7 +124,7 @@ main()
             w.field("trials", mc.trials);
             w.field("wall_seconds", mc.wallSeconds);
             w.field("trials_per_sec", mc.trialsPerSec);
-            w.field("threads", WorkStealingPool::hardwareThreads());
+            w.field("threads", ThreadPool::hardwareThreads());
             w.field("crossover_min_per_yr", tco.crossoverMinutesPerYr());
             w.field("dg_savings_per_kw_yr", tco.dgSavingsPerKwYr());
             w.field("expected_exposure_min_per_yr", expected_min_per_yr);

@@ -125,10 +125,9 @@ BENCHMARK(BM_MergingMetricAdd)->Arg(1000)->Arg(100000);
  * per value (CampaignAggregate::fold, trial by trial) versus chunk
  * partials (CampaignAggregate::foldChunk over what prepareChunk built
  * off the fold's thread). Both lanes fold the same results into an
- * aggregate carried across iterations. 25 chunks are 6400 trials, a
- * whole number of 800-value digest flush cycles, so the partials
- * prepared once up front meet the digests at the flush points they
- * were cut for. items_per_second counts trials.
+ * aggregate carried across iterations, cycling through 25 chunks
+ * (6400 trials, a whole number of 800-value digest flush cycles); the
+ * partials are prepared once up front. items_per_second counts trials.
  */
 constexpr std::size_t kChunk = 256;
 constexpr std::size_t kCycleChunks = 25;
@@ -169,11 +168,9 @@ BM_FoldChunkPartials(benchmark::State &state)
 {
     const auto rs = chunkResults();
     CampaignAggregate agg;
-    const auto at = agg.flushSchedules();
     std::vector<std::vector<MetricChunk>> parts(kCycleChunks);
     for (std::size_t c = 0; c < kCycleChunks; ++c)
-        CampaignAggregate::prepareChunk(parts[c], &rs[c * kChunk], kChunk,
-                                        at, c * kChunk);
+        CampaignAggregate::prepareChunk(parts[c], &rs[c * kChunk], kChunk);
     const std::function<bool(std::size_t)> more = [](std::size_t) {
         return true;
     };
@@ -192,12 +189,10 @@ void
 BM_PrepareChunk(benchmark::State &state)
 {
     const auto rs = chunkResults();
-    const auto at = CampaignAggregate().flushSchedules();
     std::vector<MetricChunk> parts;
     std::size_t c = 0;
     for (auto _ : state) {
-        CampaignAggregate::prepareChunk(parts, &rs[c * kChunk], kChunk, at,
-                                        c * kChunk);
+        CampaignAggregate::prepareChunk(parts, &rs[c * kChunk], kChunk);
         benchmark::DoNotOptimize(parts.data());
         c = (c + 1) % kCycleChunks;
     }

@@ -263,7 +263,7 @@ main(int argc, char **argv)
     std::printf("campaign_server listening on %s:%u (build %s, %d "
                 "worker threads)\n",
                 opts.http.bindAddress.c_str(), server.port(), buildId(),
-                WorkStealingPool::hardwareThreads());
+                ThreadPool::hardwareThreads());
     std::fflush(stdout);
     if (!port_file.empty()) {
         std::ofstream os(port_file);

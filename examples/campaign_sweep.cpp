@@ -227,7 +227,7 @@ main(int argc, char **argv)
                 "simulated years each (early stop: E[downtime] CI "
                 "half-width <= max(10%%, 1 min))\n"
                 "on %d thread(s).\n\n",
-                WorkStealingPool::hardwareThreads());
+                ThreadPool::hardwareThreads());
 
     std::printf("%-20s %7s %16s %10s %18s %8s\n", "configuration",
                 "years", "E[down] min/yr", "P99 down", "p(loss-free) [CI]",

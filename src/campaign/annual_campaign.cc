@@ -157,26 +157,16 @@ CampaignAggregate::fold(const AnnualResult &r)
     ++trials;
 }
 
-CampaignAggregate::Schedules
-CampaignAggregate::flushSchedules() const
-{
-    Schedules out;
-    for (std::size_t m = 0; m < kMetrics.size(); ++m)
-        out[m] = (this->*kMetrics[m].second).flushSchedule();
-    return out;
-}
-
 void
 CampaignAggregate::prepareChunk(std::vector<MetricChunk> &parts,
-                                const AnnualResult *r, std::size_t n,
-                                const Schedules &at, std::uint64_t offset)
+                                const AnnualResult *r, std::size_t n)
 {
     parts.resize(kMetrics.size());
     std::vector<double> values(n);
     for (std::size_t m = 0; m < kMetrics.size(); ++m) {
         for (std::size_t i = 0; i < n; ++i)
             values[i] = observation(r[i], m);
-        parts[m].prepare(values.data(), n, at[m].advance(offset),
+        parts[m].prepare(values.data(), n,
                          kMetrics[m].second != &CampaignAggregate::downtimeMin);
     }
 }
@@ -196,16 +186,13 @@ CampaignAggregate::foldChunk(const AnnualResult *r, std::size_t n,
         ++trials;
         more = after(folded - 1);
     }
-    // A stop part-way leaves a prefix the workers did not prepare.
-    std::vector<MetricChunk> prefix;
-    if (folded < n)
-        prepareChunk(prefix, r, folded, flushSchedules(), 0);
-    const std::vector<MetricChunk> &use = folded < n ? prefix : parts;
+    // A stop part-way folds the same permutations up to the stop.
     std::vector<double> values(folded);
     for (std::size_t m = 0; m < kMetrics.size(); ++m) {
         for (std::size_t i = 0; i < folded; ++i)
             values[i] = observation(r[i], m);
-        (this->*kMetrics[m].second).foldChunk(values.data(), use[m]);
+        (this->*kMetrics[m].second).foldChunk(values.data(), parts[m],
+                                              folded);
     }
     return folded;
 }
@@ -224,7 +211,7 @@ TrialSource::TrialSource(const AnnualCampaignSpec &spec, std::uint64_t seed,
     : seed_(seed)
 {
     if (batch != 0) {
-        batch_ = batch;
+        batch_ = std::min<std::uint64_t>(batch, MetricChunk::kMaxLength);
         kernel_.emplace(spec.profile, spec.nServers, spec.technique,
                         spec.config);
         return;
@@ -265,10 +252,7 @@ foldTrials(CampaignAggregate &agg, const TrialSource &source,
            obs::Context *obs,
            const std::function<bool(std::uint64_t)> &after)
 {
-    /**
-     * One unit of pool work; records stay empty unless recording, and
-     * parts unless the source is batched.
-     */
+    /** One unit of pool work; records stay empty unless recording. */
     struct Chunk
     {
         std::vector<AnnualResult> results;
@@ -278,10 +262,6 @@ foldTrials(CampaignAggregate &agg, const TrialSource &source,
     };
     const std::uint64_t batch = source.batch();
     const std::uint64_t chunks = (hi - lo + batch - 1) / batch;
-    // Every chunk folds after all earlier ones, so the schedules taken
-    // here place each chunk's flush points.
-    const bool presort = batch > 1 && batch <= MetricChunk::kMaxLength;
-    const CampaignAggregate::Schedules schedules = agg.flushSchedules();
     const std::function<Chunk(std::uint64_t)> body =
         [&](std::uint64_t chunk) {
             const std::uint64_t first = lo + chunk * batch;
@@ -309,31 +289,21 @@ foldTrials(CampaignAggregate &agg, const TrialSource &source,
                     c.forensics.push_back(obs->reduce(c.records[i]));
                 }
             }
-            if (presort)
-                CampaignAggregate::prepareChunk(c.parts, c.results.data(),
-                                                n, schedules, first - lo);
+            CampaignAggregate::prepareChunk(c.parts, c.results.data(), n);
             return c;
         };
     bool stopped = false;
     const std::function<bool(std::uint64_t, Chunk &&)> consume =
         [&](std::uint64_t chunk, Chunk &&c) {
             const std::uint64_t first = lo + chunk * batch;
-            const std::function<bool(std::size_t)> step =
-                [&](std::size_t i) {
-                    if (obs)
-                        obs->fold(std::move(c.records[i]), c.forensics[i]);
-                    stopped = !after(first + i);
-                    return !stopped;
-                };
-            if (!c.parts.empty()) {
-                agg.foldChunk(c.results.data(), c.results.size(), c.parts,
-                              step);
-                return !stopped;
-            }
-            for (std::size_t i = 0; i < c.results.size() && !stopped; ++i) {
-                agg.fold(c.results[i]);
-                step(i);
-            }
+            agg.foldChunk(c.results.data(), c.results.size(), c.parts,
+                          [&](std::size_t i) {
+                              if (obs)
+                                  obs->fold(std::move(c.records[i]),
+                                            c.forensics[i]);
+                              stopped = !after(first + i);
+                              return !stopped;
+                          });
             return !stopped;
         };
     CampaignOptions copts;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Year-scale Monte Carlo campaigns: fan independent simulated years
- * (scenario × per-trial seed) across the work-stealing pool and fold
+ * (scenario × per-trial seed) across the thread pool and fold
  * them, in trial order, into one campaign aggregate (ExactSum moments
  * and t-digest quantiles per metric, Wilson interval on the
  * loss-free-year fraction), with an optional confidence-interval
@@ -95,6 +95,17 @@ EarlyStopDecision evaluateStopRule(const EarlyStopRule &rule,
                                    std::uint64_t n, const ExactSum &sum,
                                    const ExactSum &sumSq);
 
+/** Snapshot handed to progress callbacks (in trial order). */
+struct CampaignProgress
+{
+    /** Trials aggregated so far. */
+    std::uint64_t consumed = 0;
+    /** Planned campaign size. */
+    std::uint64_t total = 0;
+    /** True when the early-stop rule has fired. */
+    bool stopped = false;
+};
+
 /**
  * Campaign sizing, seeding, and early-stop knobs. The early-stop
  * fields come from EarlyStopRule; the rule is evaluated on the
@@ -112,6 +123,10 @@ struct AnnualCampaignOptions : EarlyStopRule
 
     /** Progress callback cadence in trials (0 = no callbacks). */
     std::uint64_t progressEvery = 0;
+    /**
+     * Called in trial order, serialized, every progressEvery folded
+     * trials, on the last trial, and when the stop rule fires.
+     */
     std::function<void(const CampaignProgress &)> progress;
 
     /**
@@ -153,7 +168,11 @@ struct CampaignAggregate
     /** Years with zero abrupt power-loss events. */
     std::uint64_t lossFreeTrials = 0;
 
-    /** Fold one trial in (the next in trial order). */
+    /**
+     * Fold one trial in (the next in trial order). Campaigns fold
+     * through the chunk fold below; this is the per-value reference
+     * it must equal.
+     */
     void fold(const AnnualResult &r);
 
     /**
@@ -164,18 +183,12 @@ struct CampaignAggregate
      * still holds the chunk); foldChunk then merges the result in.
      */
     ///@{
-    /** Each metric's flush schedule from here on, in kMetrics order. */
-    using Schedules = std::array<FlushSchedule, 5>;
-    Schedules flushSchedules() const;
-
     /**
-     * Prepare @p parts for trials r[0, n), which fold @p offset trials
-     * after the point where @p at was taken (n <= MetricChunk::kMaxLength).
+     * Prepare @p parts for trials r[0, n) (n <= MetricChunk::kMaxLength).
      * downtimeMin's chunk carries no sums: foldChunk adds them per trial.
      */
     static void prepareChunk(std::vector<MetricChunk> &parts,
-                             const AnnualResult *r, std::size_t n,
-                             const Schedules &at, std::uint64_t offset);
+                             const AnnualResult *r, std::size_t n);
 
     /**
      * Fold trials r[0, n), prepared into @p parts, calling @p after(i)
@@ -230,8 +243,9 @@ using AnnualTrialFn =
 
 /**
  * Where a campaign's trial results come from: the batched kernel, in
- * lane batches, or a per-trial body, one trial at a time. Either way
- * trial t is a pure function of (seed, t).
+ * lane batches of at most MetricChunk::kMaxLength trials, or a
+ * per-trial body, one trial at a time. Either way trial t is a pure
+ * function of (seed, t).
  */
 class TrialSource
 {
@@ -273,8 +287,9 @@ class TrialSource
  * @p after(id) runs with the global trial id; returning false stops
  * the fold there. Returns true when @p after stopped it.
  *
- * A batched source's chunks fold through CampaignAggregate::foldChunk,
- * so @p after may read only what foldChunk keeps current per trial:
+ * Every chunk of the source (one trial for a per-trial body) folds
+ * through CampaignAggregate::prepareChunk and foldChunk, so @p after
+ * may read only what foldChunk keeps current per trial:
  * agg.trials, agg.lossFreeTrials and agg.downtimeMin's sum() and
  * sumSq(). Those are what its two callers read: the stop rule and the
  * shard checkpoints. The whole aggregate is current once foldTrials

@@ -41,17 +41,6 @@
 namespace bpsim
 {
 
-/** Snapshot handed to progress callbacks (in trial order). */
-struct CampaignProgress
-{
-    /** Trials aggregated so far. */
-    std::uint64_t consumed = 0;
-    /** Planned campaign size. */
-    std::uint64_t total = 0;
-    /** True when the early-stop rule has fired. */
-    bool stopped = false;
-};
-
 /** Execution knobs common to every campaign. */
 struct CampaignOptions
 {
@@ -61,10 +50,6 @@ struct CampaignOptions
      * size. Results are identical either way.
      */
     int threads = 0;
-    /** Invoke `progress` every this many consumed trials (0 = off). */
-    std::uint64_t progressEvery = 0;
-    /** Serialized, in-order progress callback. */
-    std::function<void(const CampaignProgress &)> progress;
 };
 
 /** What a campaign actually executed. */
@@ -111,17 +96,10 @@ runCampaign(std::uint64_t trials,
              it = buffer.find(next)) {
             Result ready = std::move(it->second);
             buffer.erase(it);
-            const std::uint64_t ready_id = next++;
-            const bool more = consume(ready_id, std::move(ready));
-            if (!more)
+            if (!consume(next++, std::move(ready))) {
                 stop = true;
-            if (opts.progress && opts.progressEvery != 0 &&
-                (ready_id + 1 == trials || !more ||
-                 (ready_id + 1) % opts.progressEvery == 0)) {
-                opts.progress({ready_id + 1, trials, !more});
-            }
-            if (!more)
                 break;
+            }
         }
         room.notify_all();
     };
@@ -143,15 +121,15 @@ runCampaign(std::uint64_t trials,
         }
     };
 
-    const auto run = [&](WorkStealingPool &pool) {
+    const auto run = [&](ThreadPool &pool) {
         const auto workers = static_cast<std::uint64_t>(pool.threadCount());
         window = 4 * workers;
         pool.parallelFor(workers, worker);
     };
     if (opts.threads == 0) {
-        run(WorkStealingPool::shared());
+        run(ThreadPool::shared());
     } else {
-        WorkStealingPool pool(opts.threads);
+        ThreadPool pool(opts.threads);
         run(pool);
     }
 
@@ -175,9 +153,9 @@ parallelMap(std::uint64_t n, const std::function<Result(std::uint64_t)> &fn,
     const std::function<void(std::uint64_t)> body =
         [&](std::uint64_t i) { out[i] = fn(i); };
     if (threads == 0) {
-        WorkStealingPool::shared().parallelFor(n, body);
+        ThreadPool::shared().parallelFor(n, body);
     } else {
-        WorkStealingPool pool(threads);
+        ThreadPool pool(threads);
         pool.parallelFor(n, body);
     }
     return out;

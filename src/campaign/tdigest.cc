@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <limits>
 
 #include "campaign/json.hh"
@@ -66,30 +65,75 @@ TDigest::add(double x, double weight)
     }
     count_ += static_cast<std::uint64_t>(weight);
     buffer_.push_back({x, weight});
-    if (buffer_.size() >= static_cast<std::size_t>(8.0 * compression_))
+    if (buffer_.size() >= flushEvery())
         flush();
 }
 
 void
 TDigest::addRun(const double *values, const std::uint16_t *order,
-                std::size_t n, double lo, double hi)
+                std::size_t length, std::size_t n)
 {
-    BPSIM_ASSERT(n >= 1 && (n == 1 || buffer_.size() + n - 1 < flushEvery()),
-                 "t-digest run of %zu straddles a flush (%zu of %zu buffered)",
-                 n, buffer_.size(), flushEvery());
+    BPSIM_ASSERT(n <= length, "t-digest run keeps %zu of %zu values", n,
+                 length);
+    if (n <= 1) {
+        if (n == 1)
+            add(values[0]);
+        return;
+    }
+    // Pieces end where the buffer fills: after `first` values, then
+    // every flushEvery() values.
+    const std::size_t every = flushEvery();
+    const std::size_t first =
+        buffer_.size() >= every ? 1 : every - buffer_.size();
+    const std::size_t head = std::min(n, first);
+    // One pass over the permutation drops the entries past n and deals
+    // the rest to their pieces: the first straight onto sorted_, the
+    // others into `rest`, each at its own arrival range.
+    sealTail();
+    sorted_.resize(sorted_.size() + head);
+    Centroid *lo = sorted_.data() + sorted_.size() - head;
+    std::vector<Centroid> rest(n - head);
+    std::vector<std::size_t> next((n - head + every - 1) / every);
+    for (std::size_t p = 1; p < next.size(); ++p)
+        next[p] = p * every;
+    for (std::size_t i = 0; i < length; ++i) {
+        const std::size_t at = order[i];
+        if (at >= n)
+            continue;
+        if (at < first)
+            *lo++ = {values[at], 1.0};
+        else
+            rest[next[(at - first) / every]++] = {values[at], 1.0};
+    }
+    addPiece(values, head);
+    for (std::size_t begin = head; begin < n; begin += every) {
+        const std::size_t len = std::min(every, n - begin);
+        const Centroid *from = rest.data() + (begin - head);
+        sorted_.insert(sorted_.end(), from, from + len);
+        addPiece(values + begin, len);
+    }
+}
+
+void
+TDigest::addPiece(const double *values, std::size_t n)
+{
+    // The piece's sorted copy ends sorted_. Its first minimum leads it;
+    // its first maximum leads its trailing run of equal values (±0.0
+    // compare equal).
+    const Centroid *sorted = sorted_.data() + sorted_.size() - n;
+    std::size_t top = n - 1;
+    while (top > 0 && sorted[top - 1].mean == sorted[n - 1].mean)
+        --top;
     if (count_ == 0) {
-        min_ = lo;
-        max_ = hi;
+        min_ = sorted[0].mean;
+        max_ = sorted[top].mean;
     } else {
-        min_ = std::min(min_, lo);
-        max_ = std::max(max_, hi);
+        min_ = std::min(min_, sorted[0].mean);
+        max_ = std::max(max_, sorted[top].mean);
     }
     count_ += n;
-    sealTail();
     for (std::size_t i = 0; i < n; ++i)
         buffer_.push_back({values[i], 1.0});
-    for (std::size_t i = 0; i < n; ++i)
-        sorted_.push_back({values[order[i]], 1.0});
     cuts_.push_back(sorted_.size());
     if (buffer_.size() >= flushEvery())
         flush();
@@ -99,13 +143,6 @@ std::size_t
 TDigest::flushEvery() const
 {
     return static_cast<std::size_t>(8.0 * compression_);
-}
-
-std::size_t
-TDigest::untilFlush() const
-{
-    const std::size_t cap = flushEvery();
-    return buffer_.size() >= cap ? 1 : cap - buffer_.size();
 }
 
 void
@@ -136,27 +173,30 @@ TDigest::merge(const TDigest &other)
     count_ += other.count_;
     buffer_.insert(buffer_.end(), other.centroids_.begin(),
                    other.centroids_.end());
-    if (buffer_.size() >= static_cast<std::size_t>(8.0 * compression_))
+    if (buffer_.size() >= flushEvery())
         flush();
 }
 
 std::vector<TDigest::Centroid>
 TDigest::mergeRuns() const
 {
-    // The centroids need their own sort, since equal means can leave
-    // them in descending weight.
-    std::vector<Centroid> points(centroids_);
+    // flush() replaces the centroids, so take them. They need their own
+    // sort, since equal means can leave them in descending weight.
+    std::vector<Centroid> points = std::move(centroids_);
+    centroids_.clear();
     std::stable_sort(points.begin(), points.end(), byMeanThenWeight);
     sealTail();
-    std::vector<Centroid> merged;
-    merged.reserve(centroids_.size() + buffer_.size());
+    std::size_t size = points.size();
+    points.resize(size + sorted_.size());
+    std::vector<Centroid> merged(points.size());
     std::size_t begin = 0;
     for (const std::size_t end : cuts_) {
-        merged.clear();
-        std::merge(points.begin(), points.end(),
-                   sorted_.begin() + static_cast<std::ptrdiff_t>(begin),
-                   sorted_.begin() + static_cast<std::ptrdiff_t>(end),
-                   std::back_inserter(merged), byMeanThenWeight);
+        const auto last = std::merge(
+            points.begin(), points.begin() + static_cast<std::ptrdiff_t>(size),
+            sorted_.begin() + static_cast<std::ptrdiff_t>(begin),
+            sorted_.begin() + static_cast<std::ptrdiff_t>(end),
+            merged.begin(), byMeanThenWeight);
+        size = static_cast<std::size_t>(last - merged.begin());
         points.swap(merged);
         begin = end;
     }
@@ -170,17 +210,9 @@ TDigest::flush() const
 {
     if (buffer_.empty())
         return;
-    std::vector<Centroid> points;
-    if (cuts_.empty()) {
-        points.reserve(centroids_.size() + buffer_.size());
-        points.insert(points.end(), centroids_.begin(), centroids_.end());
-        points.insert(points.end(), buffer_.begin(), buffer_.end());
-        std::stable_sort(points.begin(), points.end(), byMeanThenWeight);
-    } else {
-        // A stable sort of centroids ++ buffer is the left-biased
-        // merge of its stably sorted pieces, taken in order.
-        points = mergeRuns();
-    }
+    // A stable sort of centroids ++ buffer is the left-biased merge of
+    // its stably sorted pieces, taken in order.
+    const std::vector<Centroid> points = mergeRuns();
     buffer_.clear();
 
     double total = 0.0;

@@ -15,7 +15,10 @@
  * one by one (add) or as presorted runs (addRun): the buffer keeps
  * arrival order either way, and a flush's stable sort of the centroids
  * and the buffer equals the left-biased merge of its stably sorted
- * pieces taken in order, so a run only saves the flush its sort.
+ * pieces taken in order. So a flush always merges: a run gives one
+ * presorted piece per stretch between flush points, and the points
+ * that arrived by add, merge or fromStateJson since the last run are
+ * sorted into one more.
  * Merging in a *different* order changes centroid placement
  * slightly — quantiles then agree to within the sketch's rank error,
  * not bitwise (the exact aggregates that must be bit-stable across
@@ -58,25 +61,21 @@ class TDigest
     void add(double x, double weight = 1.0);
 
     /**
-     * Add @p n unit-weight observations, with the state n add() calls
-     * would leave. @p values are in arrival order; @p order is their
-     * stable ascending permutation (ties keep arrival order), and
-     * @p lo / @p hi are the first minimum and the first maximum, as a
-     * std::min / std::max fold finds them. The next flush merges the
-     * run instead of sorting it. A run must not straddle a flush: only
-     * its last observation may fill the buffer (see untilFlush()).
+     * Add values[0, n) as unit-weight observations, with the state n
+     * add() calls would leave. @p values holds @p length observations
+     * in arrival order and @p order is their stable ascending
+     * permutation (ties keep arrival order); only the entries below
+     * @p n are kept. The digest cuts the run at its own flush points:
+     * filtering a stable permutation by arrival index keeps both the
+     * value order and the order of ties, so each piece is the stable
+     * sort of its observations, and its first entry and the first of
+     * its trailing equal entries are the first minimum and the first
+     * maximum, as a std::min / std::max fold finds them. The next flush
+     * merges each piece instead of sorting it. A 1-value run is an
+     * add().
      */
     void addRun(const double *values, const std::uint16_t *order,
-                std::size_t n, double lo, double hi);
-
-    /** Buffer capacity: a flush every this many buffered points. */
-    std::size_t flushEvery() const;
-
-    /**
-     * Observations until the next flush, counting the one that
-     * triggers it (1 when the buffer is already full).
-     */
-    std::size_t untilFlush() const;
+                std::size_t length, std::size_t n);
 
     /** Fold another digest into this one. */
     void merge(const TDigest &other);
@@ -134,12 +133,21 @@ class TDigest
     ///@}
 
   private:
+    /** Buffer capacity: a flush every this many buffered points. */
+    std::size_t flushEvery() const;
+
     /** Sort the buffer into the centroid list and re-cluster. */
     void flush() const;
 
+    /**
+     * Buffer values[0, n), one piece of a run, whose sorted copy was
+     * just appended to sorted_ (see addRun).
+     */
+    void addPiece(const double *values, std::size_t n);
+
     /** Stable-sort the buffered points past the last run into sorted_. */
     void sealTail() const;
-    /** The flush order of the centroids and a buffer holding runs. */
+    /** The flush order of the centroids and the buffer. */
     std::vector<Centroid> mergeRuns() const;
 
     double compression_;
@@ -151,8 +159,7 @@ class TDigest
     mutable std::vector<Centroid> buffer_;
     /**
      * Sorted copies of a prefix of buffer_, piece by piece: piece i is
-     * sorted_[cuts_[i-1], cuts_[i]). Empty unless addRun was called
-     * since the last flush; not part of the serialized state.
+     * sorted_[cuts_[i-1], cuts_[i]). Not part of the serialized state.
      */
     mutable std::vector<Centroid> sorted_;
     mutable std::vector<std::size_t> cuts_;

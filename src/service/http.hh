@@ -22,7 +22,7 @@
  * connection. A thread that finishes parks for the next connection,
  * or exits when kMaxIdleThreads are already parked. The expensive
  * part — the campaign itself — fans out over the shared
- * WorkStealingPool inside the handler, so connection threads spend
+ * ThreadPool inside the handler, so connection threads spend
  * their time blocked, not computing. Every socket read and write is
  * bounded by HttpServerOptions::ioTimeoutMs, so a silent peer cannot
  * pin a thread. stop() closes the listener, waits for in-flight

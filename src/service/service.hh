@@ -27,7 +27,7 @@
  * Each miss records into its own obs::Context, so its alert evidence
  * (counters, incident residuals, sampled signals) is its campaign's
  * alone, whatever else the process runs. The first campaign fans out
- * across the shared WorkStealingPool; a campaign that starts while
+ * across the shared ThreadPool; a campaign that starts while
  * the pool is busy runs its trials inline on its request thread (the
  * pool's documented fallback), which keeps results bit-identical.
  * Memory-cache hits are served before the flight table, so neither a

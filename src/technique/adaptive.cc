@@ -52,12 +52,16 @@ AdaptiveTechnique::evaluate()
         hierarchy->mode() == PowerHierarchy::Mode::Dead) {
         return;
     }
-    // Battery runway per level from the current state of charge.
+    // Battery runway per level from the current state of charge. A
+    // level the UPS cannot carry has none, so the policy never picks
+    // it.
     std::vector<Time> runway;
     std::vector<double> perf;
     const auto &model = cluster->serverModel();
+    const Ups &ups = *hierarchy->ups();
     for (int p : levels) {
-        runway.push_back(hierarchy->ups()->timeToEmpty(levelLoadW(p)));
+        const Watts load = levelLoadW(p);
+        runway.push_back(ups.canCarry(load) ? ups.timeToEmpty(load) : 0);
         // Conservative: judge perf by the most throttle-sensitive
         // workload on the floor.
         double worst = 1.0;

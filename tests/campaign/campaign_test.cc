@@ -12,10 +12,12 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "campaign/annual_campaign.hh"
+#include "campaign/json.hh"
 #include "campaign/runner.hh"
 #include "core/backup_config.hh"
 #include "obs/context.hh"
@@ -69,17 +71,27 @@ TEST(CampaignRunner, EarlyStopIsDeterministicAcrossThreadCounts)
 
 TEST(CampaignRunner, ProgressCallbacksAreInOrderAndSerialized)
 {
-    CampaignOptions opts;
+    AnnualCampaignOptions opts;
+    opts.maxTrials = 95;
     opts.threads = 4;
     opts.progressEvery = 10;
     std::vector<std::uint64_t> ticks;
+    std::atomic<int> inside{0};
     opts.progress = [&](const CampaignProgress &p) {
+        EXPECT_EQ(inside.fetch_add(1), 0) << "callbacks overlap";
         EXPECT_EQ(p.total, 95u);
+        EXPECT_FALSE(p.stopped);
         ticks.push_back(p.consumed);
+        inside.fetch_sub(1);
     };
-    runCampaign<int>(
-        95, [](std::uint64_t) { return 0; },
-        [](std::uint64_t, int &&) { return true; }, opts);
+    runAnnualCampaign(
+        [](std::uint64_t id, Rng &) {
+            // Uneven trial cost lets later trials finish first.
+            std::this_thread::sleep_for(
+                std::chrono::microseconds(id % 3 == 0 ? 200 : 10));
+            return AnnualResult{};
+        },
+        opts);
     // Every multiple of 10, plus the final 95.
     const std::vector<std::uint64_t> expect{10, 20, 30, 40, 50,
                                             60, 70, 80, 90, 95};
@@ -178,7 +190,7 @@ TEST(AnnualCampaign, BitIdenticalAcrossThreadCounts)
     const auto serial = fingerprint(runAnnualCampaign(testSpec(), opts));
     ASSERT_FALSE(serial.empty());
 
-    for (int threads : {4, WorkStealingPool::hardwareThreads()}) {
+    for (int threads : {4, ThreadPool::hardwareThreads()}) {
         opts.threads = threads;
         const auto par = fingerprint(runAnnualCampaign(testSpec(), opts));
         ASSERT_EQ(par.size(), serial.size());
@@ -295,7 +307,7 @@ TEST(AnnualCampaign, LongCampaignSerialMatchesParallel)
 
     opts.threads = 1;
     const auto serial = runAnnualCampaign(testSpec(), opts);
-    opts.threads = std::max(4, WorkStealingPool::hardwareThreads());
+    opts.threads = std::max(4, ThreadPool::hardwareThreads());
     const auto parallel = runAnnualCampaign(testSpec(), opts);
 
     EXPECT_EQ(fingerprint(serial), fingerprint(parallel));
@@ -323,6 +335,38 @@ TEST(AnnualCampaign, BatchedEarlyStopMidChunkMatchesScalar)
     EXPECT_EQ(fingerprint(batched), fingerprint(scalar));
     EXPECT_EQ(batched.trials, scalar.trials);
     EXPECT_TRUE(batched.stoppedEarly);
+}
+
+TEST(AnnualCampaign, BatchAboveTheChunkCapMatchesBatch256)
+{
+    // A batch above MetricChunk::kMaxLength runs in chunks of at most
+    // that many trials (65536 + 4464 here), with the same state as
+    // 256-trial chunks: every metric's exact state, digest buffer
+    // included.
+    const auto spec = testSpec();
+    ASSERT_TRUE(BatchAnnualKernel(spec.profile, spec.nServers,
+                                  spec.technique, spec.config)
+                    .fastPathEligible());
+    const auto state = [&spec](std::uint64_t batch) {
+        AnnualCampaignOptions opts;
+        opts.maxTrials = 70000;
+        opts.seed = 2014;
+        opts.threads = 4;
+        opts.batch = batch;
+        const auto s = runAnnualCampaign(spec, opts);
+        std::ostringstream os;
+        JsonWriter w(os);
+        w.beginObject();
+        w.field("trials", s.trials);
+        w.field("loss_free", s.lossFreeTrials);
+        for (const auto &[name, field] : CampaignAggregate::kMetrics) {
+            w.key(name);
+            (s.*field).writeJson(w);
+        }
+        w.endObject();
+        return os.str();
+    };
+    EXPECT_EQ(state(70000), state(256));
 }
 
 TEST(AnnualCampaign, EarlyStoppedRecordingRetainsOnlyAggregatedTrials)

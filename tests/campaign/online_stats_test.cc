@@ -148,26 +148,16 @@ stateOf(const MergingMetric &m)
     return os.str();
 }
 
-TEST(FlushSchedule, AdvanceCountsDownThenRepeats)
-{
-    const FlushSchedule s{5, 800};
-    EXPECT_EQ(s.advance(0).until, 5u);
-    EXPECT_EQ(s.advance(4).until, 1u);
-    EXPECT_EQ(s.advance(5).until, 800u);
-    EXPECT_EQ(s.advance(805).until, 800u);
-    EXPECT_EQ(s.advance(1000).until, 605u);
-    EXPECT_EQ(s.advance(1000).every, 800u);
-}
-
 TEST(MergingMetric, FoldChunkMatchesAddsWithAndWithoutChunkSums)
 {
-    // Chunks of every shape: one value, pieces cut at flush points,
-    // and more values than a flush cycle. Half the values are zeros,
-    // the first one -0.0 and the rest +0.0, on the minimum side
-    // (side +1) or the maximum side (side -1). There the digest keeps
-    // a singleton centroid, so the bytes show which zero sorts first
-    // (sort stability) and which one min() and max() report (the
-    // first, as std::min/std::max fold them).
+    // Chunks of every shape: one value, chunks that cross a flush,
+    // and more values than a flush cycle, each folded whole or up to
+    // a stop part-way. Half the values are zeros, the first one -0.0
+    // and the rest +0.0, on the minimum side (side +1) or the maximum
+    // side (side -1). There the digest keeps a singleton centroid, so
+    // the bytes show which zero sorts first (sort stability) and which
+    // one min() and max() report (the first, as std::min/std::max fold
+    // them).
     for (const double side : {1.0, -1.0}) {
         Rng rng(9);
         std::vector<double> xs(6000);
@@ -179,19 +169,21 @@ TEST(MergingMetric, FoldChunkMatchesAddsWithAndWithoutChunkSums)
             for (std::size_t begin = 0; begin < xs.size();) {
                 const std::size_t n = std::min<std::size_t>(
                     xs.size() - begin, 1 + rng.nextU64() % 2000);
+                // Every other chunk stops part-way.
+                const std::size_t kept =
+                    rng.nextU64() % 2 == 0 ? n : 1 + rng.nextU64() % n;
                 MetricChunk c;
-                c.prepare(xs.data() + begin, n, chunked.flushSchedule(),
-                          chunkSums);
-                for (std::size_t i = begin; i < begin + n; ++i) {
+                c.prepare(xs.data() + begin, n, chunkSums);
+                for (std::size_t i = begin; i < begin + kept; ++i) {
                     one.add(xs[i]);
                     if (!chunkSums)
                         chunked.addSums(xs[i]);
                 }
-                chunked.foldChunk(xs.data() + begin, c);
+                chunked.foldChunk(xs.data() + begin, c, kept);
                 ASSERT_EQ(stateOf(chunked), stateOf(one))
-                    << "side " << side << " after " << begin + n
+                    << "side " << side << " after " << begin + kept
                     << " chunk sums " << chunkSums;
-                begin += n;
+                begin += kept;
             }
         }
     }

@@ -344,31 +344,30 @@ tiedSample(std::uint64_t seed, std::size_t n, int side = 0)
 }
 
 /**
- * Feed xs[0, n) to @p td as runs of random lengths, each cut at the
- * digest's next flush point, with the order and extremes a worker
- * would compute: a stable sort, then std::min/std::max folds.
+ * Feed xs[0, n) to @p td as runs of random lengths up to 2000, so most
+ * runs cross one or more flushes, each with the stable permutation a
+ * worker computes. Every other run keeps only a prefix of the values
+ * its permutation covers, as a stop part-way through a chunk leaves
+ * it; the next run starts right after the kept prefix.
  */
 void
 addAsRuns(TDigest &td, const double *xs, std::size_t n, Rng &rng)
 {
     for (std::size_t begin = 0; begin < n;) {
-        const std::size_t len =
-            std::min({n - begin, td.untilFlush(),
-                      static_cast<std::size_t>(1 + rng.nextU64() % 300)});
-        std::vector<std::uint16_t> order(len);
+        const std::size_t kept = std::min(
+            n - begin, static_cast<std::size_t>(1 + rng.nextU64() % 2000));
+        const std::size_t extra =
+            rng.nextU64() % 2 == 0 ? 0 : rng.nextU64() % 300;
+        const std::size_t length = std::min(n - begin, kept + extra);
+        std::vector<std::uint16_t> order(length);
         std::iota(order.begin(), order.end(), std::uint16_t{0});
         const double *run = xs + begin;
         std::stable_sort(order.begin(), order.end(),
                          [run](std::uint16_t a, std::uint16_t b) {
                              return run[a] < run[b];
                          });
-        double lo = run[0], hi = run[0];
-        for (std::size_t i = 0; i < len; ++i) {
-            lo = std::min(lo, run[i]);
-            hi = std::max(hi, run[i]);
-        }
-        td.addRun(run, order.data(), len, lo, hi);
-        begin += len;
+        td.addRun(run, order.data(), length, kept);
+        begin += kept;
     }
 }
 
@@ -404,7 +403,7 @@ TEST(TDigestRuns, MatchSingleAddsRunByRun)
         for (std::size_t begin = 0; begin < xs.size();) {
             const std::size_t len =
                 std::min(xs.size() - begin,
-                         static_cast<std::size_t>(1 + rng.nextU64() % 700));
+                         static_cast<std::size_t>(1 + rng.nextU64() % 2500));
             for (std::size_t i = begin; i < begin + len; ++i)
                 one.add(xs[i]);
             addAsRuns(runs, xs.data() + begin, len, rng);
@@ -456,18 +455,6 @@ TEST(TDigestRuns, MatchSingleAddsAfterAMerge)
         addAsRuns(runs, xs.data() + 2 * split, xs.size() - 2 * split, rng);
         EXPECT_EQ(bytesOf(runs), bytesOf(one)) << "split " << split;
     }
-}
-
-TEST(TDigestRuns, UntilFlushCountsDownToTheFlushingAdd)
-{
-    TDigest td;
-    EXPECT_EQ(td.flushEvery(), 800u);
-    EXPECT_EQ(td.untilFlush(), 800u);
-    for (int i = 0; i < 799; ++i)
-        td.add(1.0);
-    EXPECT_EQ(td.untilFlush(), 1u);
-    td.add(1.0); // flushes
-    EXPECT_EQ(td.untilFlush(), 800u);
 }
 
 } // namespace

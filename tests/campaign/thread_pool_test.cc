@@ -1,13 +1,14 @@
 /**
  * @file
- * Tests for the work-stealing thread pool: exactly-once execution,
- * stealing under skew, and nesting.
+ * Tests for the thread pool: exactly-once execution, claiming under
+ * skew, nesting, and concurrent submissions.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -18,21 +19,22 @@ namespace bpsim
 namespace
 {
 
-TEST(WorkStealingPool, RunsEveryIndexExactlyOnce)
+TEST(ThreadPool, RunsEveryIndexExactlyOnce)
 {
     constexpr std::uint64_t kN = 20000;
-    WorkStealingPool pool(4);
+    ThreadPool pool(4);
     std::vector<std::atomic<int>> hits(kN);
     pool.parallelFor(kN, [&](std::uint64_t i) { ++hits[i]; });
     for (std::uint64_t i = 0; i < kN; ++i)
         ASSERT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
-TEST(WorkStealingPool, ExactlyOnceUnderSkewedWork)
+TEST(ThreadPool, ExactlyOnceUnderSkewedWork)
 {
-    // Front-loaded cost forces thieves to rebalance.
+    // Front-loaded cost: the other workers keep claiming past the
+    // slow items.
     constexpr std::uint64_t kN = 256;
-    WorkStealingPool pool(4);
+    ThreadPool pool(4);
     std::vector<std::atomic<int>> hits(kN);
     pool.parallelFor(kN, [&](std::uint64_t i) {
         if (i < 8)
@@ -43,26 +45,26 @@ TEST(WorkStealingPool, ExactlyOnceUnderSkewedWork)
         ASSERT_EQ(hits[i].load(), 1);
 }
 
-TEST(WorkStealingPool, SingleWorkerRunsAll)
+TEST(ThreadPool, SingleWorkerRunsAll)
 {
     constexpr std::uint64_t kN = 1000;
-    WorkStealingPool pool(1);
+    ThreadPool pool(1);
     std::atomic<std::uint64_t> sum{0};
     pool.parallelFor(kN, [&](std::uint64_t i) { sum += i; });
     EXPECT_EQ(sum.load(), kN * (kN - 1) / 2);
 }
 
-TEST(WorkStealingPool, ZeroItemsReturnsImmediately)
+TEST(ThreadPool, ZeroItemsReturnsImmediately)
 {
-    WorkStealingPool pool(2);
+    ThreadPool pool(2);
     bool ran = false;
     pool.parallelFor(0, [&](std::uint64_t) { ran = true; });
     EXPECT_FALSE(ran);
 }
 
-TEST(WorkStealingPool, NestedCallsRunInlineWithoutDeadlock)
+TEST(ThreadPool, NestedCallsRunInlineWithoutDeadlock)
 {
-    WorkStealingPool pool(2);
+    ThreadPool pool(2);
     std::atomic<int> inner_total{0};
     pool.parallelFor(4, [&](std::uint64_t) {
         pool.parallelFor(8, [&](std::uint64_t) { ++inner_total; });
@@ -70,9 +72,51 @@ TEST(WorkStealingPool, NestedCallsRunInlineWithoutDeadlock)
     EXPECT_EQ(inner_total.load(), 4 * 8);
 }
 
-TEST(WorkStealingPool, ReusableAcrossJobs)
+TEST(ThreadPool, ConcurrentSubmissionRunsInline)
 {
-    WorkStealingPool pool(3);
+    // The first job holds its items until the second submission has
+    // run; the second, arriving while the first is in flight, must run
+    // inline on its own thread.
+    constexpr std::uint64_t kN = 64;
+    ThreadPool pool(2);
+    std::vector<std::atomic<int>> first(kN), second(kN);
+    std::promise<void> started;
+    std::shared_future<void> started_f = started.get_future().share();
+    std::promise<void> done;
+    std::shared_future<void> done_f = done.get_future().share();
+    std::atomic<bool> signalled{false};
+
+    std::thread a([&] {
+        pool.parallelFor(kN, [&](std::uint64_t i) {
+            if (!signalled.exchange(true))
+                started.set_value();
+            done_f.wait();
+            ++first[i];
+        });
+    });
+    std::thread b([&] {
+        started_f.wait();
+        const auto self = std::this_thread::get_id();
+        std::atomic<int> elsewhere{0};
+        pool.parallelFor(kN, [&](std::uint64_t i) {
+            if (std::this_thread::get_id() != self)
+                ++elsewhere;
+            ++second[i];
+        });
+        EXPECT_EQ(elsewhere.load(), 0) << "second job left its thread";
+        done.set_value();
+    });
+    a.join();
+    b.join();
+    for (std::uint64_t i = 0; i < kN; ++i) {
+        ASSERT_EQ(first[i].load(), 1) << "first job, index " << i;
+        ASSERT_EQ(second[i].load(), 1) << "second job, index " << i;
+    }
+}
+
+TEST(ThreadPool, ReusableAcrossJobs)
+{
+    ThreadPool pool(3);
     for (int round = 0; round < 20; ++round) {
         std::atomic<std::uint64_t> sum{0};
         pool.parallelFor(round + 1,
@@ -82,11 +126,11 @@ TEST(WorkStealingPool, ReusableAcrossJobs)
     }
 }
 
-TEST(WorkStealingPool, DefaultsToHardwareThreads)
+TEST(ThreadPool, DefaultsToHardwareThreads)
 {
-    WorkStealingPool pool;
-    EXPECT_EQ(pool.threadCount(), WorkStealingPool::hardwareThreads());
-    EXPECT_GE(WorkStealingPool::hardwareThreads(), 1);
+    ThreadPool pool;
+    EXPECT_EQ(pool.threadCount(), ThreadPool::hardwareThreads());
+    EXPECT_GE(ThreadPool::hardwareThreads(), 1);
 }
 
 } // namespace

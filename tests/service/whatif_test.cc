@@ -200,3 +200,26 @@ TEST(WhatIfRun, MatchesDeterministicBatchExport)
     EXPECT_EQ(served.find("wall_seconds"), std::string::npos);
     EXPECT_EQ(served.find("trials_per_sec"), std::string::npos);
 }
+
+TEST(WhatIfRun, AdaptiveOnAHalfPowerUpsRuns)
+{
+    // Adaptive weighs levels above a half-power UPS's rating; the UPS
+    // cannot carry them, so they have no runway and are never picked
+    // (the battery model has no runtime past its rated power).
+    for (const char *config : {"DG-SmallPUPS", "SmallPUPS",
+                               "SmallDG-SmallPUPS", "SmallP-LargeEUPS"}) {
+        for (const int servers : {1, 8}) {
+            const std::string text =
+                std::string("{\"config\":\"") + config +
+                "\",\"servers\":" + std::to_string(servers) +
+                ",\"trials\":8,\"technique\":{\"kind\":\"adaptive\"}}";
+            SCOPED_TRACE(text);
+            std::string err;
+            const auto req = parseWhatIfRequest(body(text), &err);
+            ASSERT_TRUE(req.has_value()) << err;
+            const auto doc = parseJson(runWhatIf(*req));
+            ASSERT_TRUE(doc.has_value());
+            EXPECT_EQ(doc->at("trials").asUint(), 8u);
+        }
+    }
+}

@@ -158,12 +158,6 @@ TEST(ClusterTerms, FoldsMatchLiveElementsForEveryTechniqueAndConfig)
         ASSERT_FALSE(events.empty());
         for (const auto &config : probedConfigs()) {
             for (const auto &spec : everyKind()) {
-                // Adaptive on a half-power UPS aborts in the battery
-                // model (load above its rated power), a model defect
-                // unrelated to the folds: skip that pairing.
-                if (spec.kind == TechniqueKind::Adaptive &&
-                    config.hasUps && config.upsPowerFrac < 1.0)
-                    continue;
                 SCOPED_TRACE(config.name + " / " + spec.label() +
                              " / seed " + std::to_string(seed));
                 ProbedYear y(eight, spec, config);
