@@ -8,6 +8,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <functional>
+
 #include "core/analyzer.hh"
 #include "power/battery.hh"
 #include "sim/logging.hh"
@@ -44,15 +46,41 @@ BM_EventCascade(benchmark::State &state)
         int count = 0;
         std::function<void()> chain = [&] {
             if (++count < n)
-                sim.schedule(kMillisecond, chain);
+                sim.schedule(kMillisecond, [&chain] { chain(); });
         };
-        sim.schedule(kMillisecond, chain);
+        sim.schedule(kMillisecond, [&chain] { chain(); });
         sim.run();
         benchmark::DoNotOptimize(count);
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EventCascade)->Arg(10000);
+
+void
+BM_EventCancelRearm(benchmark::State &state)
+{
+    // The PowerHierarchy::recomputeMix pattern: each step cancels a
+    // far-off event and re-arms it, so cancelled entries pile up in the
+    // heap until they surface (lazy deletion).
+    for (auto _ : state) {
+        Simulator sim;
+        const int n = static_cast<int>(state.range(0));
+        int count = 0;
+        EventHandle depletion;
+        std::function<void()> step = [&] {
+            depletion.cancel();
+            depletion = sim.schedule(kHour, [] {}, "battery-empty",
+                                     EventPriority::Power);
+            if (++count < n)
+                sim.schedule(kMinute, [&step] { step(); });
+        };
+        sim.schedule(kMinute, [&step] { step(); });
+        sim.run();
+        benchmark::DoNotOptimize(count);
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_EventCancelRearm)->Arg(10000);
 
 void
 BM_BatteryDischarge(benchmark::State &state)

@@ -55,14 +55,16 @@ ExactSum::add(double x)
 void
 ExactSum::merge(const ExactSum &other)
 {
-    ExactSum o = other;
-    o.normalize(); // canonical limbs are < 2^30 in magnitude
-    if (o.lo_ > o.hi_)
+    if (other.lo_ > other.hi_)
         return;
-    for (int j = o.lo_; j <= o.hi_; ++j)
-        limb_[j] += o.limb_[j];
-    touch(o.lo_, o.hi_);
-    if (++dirty_ >= (1u << 30))
+    // Limb-wise addition is exact whether or not either side is
+    // normalized. Every limb of `other` is below (other.dirty_ + 1) *
+    // 2^30 in magnitude, so the merge counts as that many adds.
+    for (int j = other.lo_; j <= other.hi_; ++j)
+        limb_[j] += other.limb_[j];
+    touch(other.lo_, other.hi_);
+    dirty_ += other.dirty_ + 1;
+    if (dirty_ >= (1u << 30))
         normalize();
 }
 

@@ -92,7 +92,11 @@ class ExactSum
     std::array<std::int64_t, kLimbs> limb_{};
     /** Every limb outside [lo_, hi_] is zero (empty when lo_ > hi_). */
     int lo_ = kLimbs, hi_ = -1;
-    /** add()s since the last normalize() (overflow guard). */
+    /**
+     * add()s since the last normalize(), a merge counting as one more
+     * than the merged sum's own (overflow guard: every limb stays below
+     * (dirty_ + 1) * 2^30 in magnitude).
+     */
     std::uint32_t dirty_ = 0;
 };
 

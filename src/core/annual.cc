@@ -1,5 +1,7 @@
 #include "core/annual.hh"
 
+#include <functional>
+
 #include "obs/obs.hh"
 #include "power/utility.hh"
 #include "sim/logging.hh"
@@ -78,10 +80,11 @@ AnnualSimulator::runYear(const WorkloadProfile &profile, int n_servers,
                 SignalId::QueueDepth, now,
                 static_cast<double>(sim.queueDepth()));
             if (now + cadence <= kYear)
-                sim.schedule(cadence, sampler, "obs-sample",
-                             EventPriority::Stats);
+                sim.schedule(cadence, [&sampler] { sampler(); },
+                             "obs-sample", EventPriority::Stats);
         };
-        sim.at(0, sampler, "obs-sample", EventPriority::Stats);
+        sim.at(0, [&sampler] { sampler(); }, "obs-sample",
+               EventPriority::Stats);
     }
 #endif
 

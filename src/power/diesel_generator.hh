@@ -12,6 +12,8 @@
 #ifndef BPSIM_POWER_DIESEL_GENERATOR_HH
 #define BPSIM_POWER_DIESEL_GENERATOR_HH
 
+#include <functional>
+
 #include "sim/simulator.hh"
 #include "sim/types.hh"
 

@@ -115,10 +115,10 @@ namespace
 {
 
 void
-scheduleCompletion(Simulator &sim, Time delay, const char *name,
-                   std::function<void()> fn, EventHandle &slot)
+scheduleCompletion(Simulator &sim, Time delay, const char *name, EventFn fn,
+                   EventHandle &slot)
 {
-    slot = sim.schedule(delay, std::move(fn), name);
+    slot = sim.schedule(delay, fn, name);
 }
 
 } // namespace

@@ -1,49 +1,72 @@
 #include "sim/event.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace bpsim
 {
 
-EventHandle
-EventQueue::push(Time when, EventPriority prio, std::function<void()> fn,
-                 const char *name)
+namespace
 {
-    auto ev =
-        std::make_shared<Event>(when, prio, nextSeq++, std::move(fn), name);
-    heap.push(Entry{ev});
-    return EventHandle(ev);
+
+constexpr int kSeqBits = 56;
+
+} // namespace
+
+/** Heap order: the earliest (time, priority, sequence) on top. */
+struct EventQueue::Later
+{
+    bool
+    operator()(const Entry &a, const Entry &b) const
+    {
+        return a.when != b.when ? a.when > b.when : a.key > b.key;
+    }
+};
+
+EventHandle
+EventQueue::push(Time when, EventPriority prio, EventFn fn)
+{
+    const auto prio_bits = static_cast<std::uint64_t>(prio);
+    BPSIM_ASSERT(prio_bits < (std::uint64_t{1} << (64 - kSeqBits)) &&
+                     nextSeq_ < (std::uint64_t{1} << kSeqBits),
+                 "event key out of range (priority %d, sequence %llu)",
+                 static_cast<int>(prio),
+                 static_cast<unsigned long long>(nextSeq_));
+    std::uint32_t slot = freeHead_;
+    if (slot == kNoSlot) {
+        BPSIM_ASSERT(slots_.size() < kNoSlot, "event pool exhausted");
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.push_back(Slot{fn, when, 0, kNoSlot});
+    } else {
+        freeHead_ = slots_[slot].nextFree;
+        slots_[slot].fn = fn;
+        slots_[slot].when = when;
+    }
+    const std::uint32_t gen = slots_[slot].gen;
+    heap_.push_back(
+        Entry{when, prio_bits << kSeqBits | nextSeq_++, slot, gen});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    return EventHandle(this, slot, gen);
 }
 
 void
-EventQueue::skipCancelled()
+EventQueue::popFront()
 {
-    while (!heap.empty() && !heap.top().ev->pending())
-        heap.pop();
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
 }
 
-bool
-EventQueue::empty()
-{
-    skipCancelled();
-    return heap.empty();
-}
-
-Time
-EventQueue::nextTime()
-{
-    skipCancelled();
-    return heap.empty() ? kTimeNever : heap.top().ev->when();
-}
-
-std::shared_ptr<Event>
+EventFn
 EventQueue::pop()
 {
     skipCancelled();
-    BPSIM_ASSERT(!heap.empty(), "pop() from an empty event queue");
-    auto ev = heap.top().ev;
-    heap.pop();
-    return ev;
+    BPSIM_ASSERT(!heap_.empty(), "pop() from an empty event queue");
+    const std::uint32_t slot = heap_.front().slot;
+    const EventFn fn = slots_[slot].fn;
+    retire(slot);
+    popFront();
+    return fn;
 }
 
 } // namespace bpsim

@@ -1,21 +1,31 @@
 /**
  * @file
- * Discrete-event primitives: events, handles and the pending-event queue.
+ * Discrete-event primitives: callbacks, handles and the pending-event
+ * queue.
  *
- * Events carry an arbitrary callback and are ordered by (time, priority,
- * insertion sequence) so that simultaneous events execute in a
- * deterministic, reproducible order. Cancellation is supported through
- * shared handles; cancelled events stay in the queue but are skipped when
- * they reach the front (lazy deletion).
+ * Events run in (time, priority, insertion sequence) order, so
+ * simultaneous events execute in a deterministic, reproducible order.
+ * Heap entries carry that key inline; callbacks (EventFn, captures
+ * stored inline) live in a per-queue slot pool whose generations make
+ * handles cheap to cancel and safe to keep after their event is gone.
+ * Once warmed up, scheduling, cancelling and running allocate nothing.
+ * Cancellation is lazy: a cancelled entry stays in the heap, counted by
+ * rawSize(), until it reaches the front. docs/MODEL.md §1 has the
+ * argument.
+ *
+ * Lifetime: a handle points at its queue, which lives inside a
+ * Simulator. A handle must not be used (not even cancel()) after its
+ * Simulator is destroyed. Every owner declares its Simulator before the
+ * components that hold handles, so those components are destroyed first.
  */
 
 #ifndef BPSIM_SIM_EVENT_HH
 #define BPSIM_SIM_EVENT_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <queue>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "sim/types.hh"
@@ -34,83 +44,79 @@ enum class EventPriority : int
     Stats = 20,
 };
 
-/** A single scheduled callback. Managed via shared_ptr by the queue. */
-class Event
+/**
+ * A callback with at most 32 bytes of trivially copyable captures
+ * (pointers, references and scalars), stored inline. Larger or owning
+ * captures are rejected at compile time: capture a reference to the
+ * state instead.
+ */
+class EventFn
 {
   public:
-    Event(Time when, EventPriority prio, std::uint64_t seq,
-          std::function<void()> fn, const char *name)
-        : when_(when), prio_(prio), seq_(seq), fn_(std::move(fn)),
-          name_(name)
-    {}
+    /** Capture bytes an EventFn can hold. */
+    static constexpr std::size_t kCapacity = 32;
 
-    /** Scheduled execution time. */
-    Time when() const { return when_; }
-    /** Priority within the timestamp. */
-    EventPriority priority() const { return prio_; }
-    /** Monotonic insertion sequence number (tie-breaker). */
-    std::uint64_t sequence() const { return seq_; }
-    /** Diagnostic name (a string literal; never owned). */
-    const char *name() const { return name_; }
-    /** True until executed or cancelled. */
-    bool pending() const { return pending_; }
+    EventFn() = default;
 
-    /** Mark the event as no longer runnable. */
-    void cancel() { pending_ = false; }
-
-    /** Run the callback (once) if still pending. */
-    void
-    execute()
+    template <typename F,
+              typename = std::enable_if_t<
+                  !std::is_same_v<std::decay_t<F>, EventFn>>>
+    EventFn(F f) // implicit, so call sites pass lambdas
+        : invoke_([](void *p) { (*static_cast<F *>(p))(); })
     {
-        if (pending_) {
-            pending_ = false;
-            fn_();
-        }
+        static_assert(std::is_invocable_v<F &>,
+                      "an event callback takes no arguments");
+        static_assert(sizeof(F) <= kCapacity,
+                      "event callback captures more than 32 bytes");
+        static_assert(alignof(F) <= kAlign,
+                      "event callback is over-aligned");
+        static_assert(std::is_trivially_copyable_v<F>,
+                      "event callback captures must be trivially copyable "
+                      "(pointers, references, scalars)");
+        ::new (static_cast<void *>(storage_)) F(f);
     }
 
+    /** Run the callback. */
+    void operator()() { invoke_(storage_); }
+
   private:
-    Time when_;
-    EventPriority prio_;
-    std::uint64_t seq_;
-    std::function<void()> fn_;
-    const char *name_;
-    bool pending_ = true;
+    static constexpr std::size_t kAlign = alignof(void *);
+
+    alignas(kAlign) unsigned char storage_[kCapacity] = {};
+    void (*invoke_)(void *) = nullptr;
 };
+
+class EventQueue;
 
 /**
  * Cancelable reference to a scheduled event. Default-constructed handles
- * refer to nothing and are safely no-ops.
+ * refer to nothing and are safely no-ops. A handle stops being pending
+ * when its event starts running or is cancelled; a stale handle never
+ * touches the event that later reuses its slot.
  */
 class EventHandle
 {
   public:
     EventHandle() = default;
-    explicit EventHandle(std::shared_ptr<Event> ev) : ev_(std::move(ev)) {}
 
     /** True if the referenced event is still waiting to run. */
-    bool
-    pending() const
-    {
-        return ev_ && ev_->pending();
-    }
+    bool pending() const;
 
     /** Cancel the referenced event if it has not yet run. */
-    void
-    cancel()
-    {
-        if (ev_)
-            ev_->cancel();
-    }
+    void cancel();
 
     /** Scheduled time, or kTimeNever when empty/executed. */
-    Time
-    when() const
-    {
-        return pending() ? ev_->when() : kTimeNever;
-    }
+    Time when() const;
 
   private:
-    std::shared_ptr<Event> ev_;
+    friend class EventQueue;
+    EventHandle(EventQueue *q, std::uint32_t slot, std::uint32_t gen)
+        : q_(q), slot_(slot), gen_(gen)
+    {}
+
+    EventQueue *q_ = nullptr;
+    std::uint32_t slot_ = 0;
+    std::uint32_t gen_ = 0;
 };
 
 /**
@@ -119,50 +125,119 @@ class EventHandle
 class EventQueue
 {
   public:
+    EventQueue() = default;
+    // Handles point at the queue.
+    EventQueue(const EventQueue &) = delete;
+    EventQueue &operator=(const EventQueue &) = delete;
+
     /** Insert an event; returns a cancelable handle. */
-    EventHandle push(Time when, EventPriority prio,
-                     std::function<void()> fn, const char *name);
+    EventHandle push(Time when, EventPriority prio, EventFn fn);
 
     /** True when no runnable event remains. */
-    bool empty();
+    bool
+    empty()
+    {
+        skipCancelled();
+        return heap_.empty();
+    }
 
     /** Timestamp of the next runnable event; kTimeNever when empty. */
-    Time nextTime();
+    Time
+    nextTime()
+    {
+        skipCancelled();
+        return heap_.empty() ? kTimeNever : heap_.front().when;
+    }
 
     /**
-     * Pop and return the next runnable event. The queue must not be
-     * empty().
+     * Remove the next runnable event and return its callback. Its handle
+     * stops being pending and its slot is free for reuse, so the caller
+     * runs the returned copy. The queue must not be empty().
      */
-    std::shared_ptr<Event> pop();
+    EventFn pop();
 
     /** Number of events held, including lazily-cancelled ones. */
-    std::size_t rawSize() const { return heap.size(); }
+    std::size_t rawSize() const { return heap_.size(); }
+
+    /** Slots ever allocated: the pool's high-water mark of live events. */
+    std::size_t poolSize() const { return slots_.size(); }
 
   private:
+    friend class EventHandle;
+
+    struct Slot
+    {
+        EventFn fn;
+        Time when;
+        /** Wraps after 2^32 reuses of one slot, far past any run's count. */
+        std::uint32_t gen;
+        std::uint32_t nextFree;
+    };
+
     struct Entry
     {
-        std::shared_ptr<Event> ev;
+        Time when;
+        /** priority << 56 | insertion sequence. */
+        std::uint64_t key;
+        std::uint32_t slot;
+        std::uint32_t gen;
     };
 
-    struct Later
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+    /** Heap comparator (defined in event.cc). */
+    struct Later;
+
+    bool
+    live(std::uint32_t slot, std::uint32_t gen) const
     {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.ev->when() != b.ev->when())
-                return a.ev->when() > b.ev->when();
-            if (a.ev->priority() != b.ev->priority())
-                return a.ev->priority() > b.ev->priority();
-            return a.ev->sequence() > b.ev->sequence();
-        }
-    };
+        return slots_[slot].gen == gen;
+    }
 
-    /** Drop cancelled events from the front. */
-    void skipCancelled();
+    /** Invalidate the slot's handles and heap entry; free the slot. */
+    void
+    retire(std::uint32_t slot)
+    {
+        ++slots_[slot].gen;
+        slots_[slot].nextFree = freeHead_;
+        freeHead_ = slot;
+    }
 
-    std::priority_queue<Entry, std::vector<Entry>, Later> heap;
-    std::uint64_t nextSeq = 0;
+    /** Drop cancelled entries from the front. */
+    void
+    skipCancelled()
+    {
+        while (!heap_.empty() &&
+               !live(heap_.front().slot, heap_.front().gen))
+            popFront();
+    }
+
+    void popFront();
+
+    std::vector<Entry> heap_;
+    std::vector<Slot> slots_;
+    std::uint32_t freeHead_ = kNoSlot;
+    std::uint64_t nextSeq_ = 0;
 };
+
+inline bool
+EventHandle::pending() const
+{
+    return q_ && q_->live(slot_, gen_);
+}
+
+inline void
+EventHandle::cancel()
+{
+    if (pending())
+        q_->retire(slot_);
+}
+
+inline Time
+EventHandle::when() const
+{
+    return pending() ? q_->slots_[slot_].when : kTimeNever;
+}
 
 } // namespace bpsim
 

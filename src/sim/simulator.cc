@@ -7,23 +7,22 @@ namespace bpsim
 {
 
 EventHandle
-Simulator::schedule(Time delay, std::function<void()> fn, const char *name,
+Simulator::schedule(Time delay, EventFn fn, const char *name,
                     EventPriority prio)
 {
     BPSIM_ASSERT(delay >= 0, "negative delay %lld for event '%s'",
                  static_cast<long long>(delay), name);
-    return queue.push(now_ + delay, prio, std::move(fn), name);
+    return queue.push(now_ + delay, prio, fn);
 }
 
 EventHandle
-Simulator::at(Time when, std::function<void()> fn, const char *name,
-              EventPriority prio)
+Simulator::at(Time when, EventFn fn, const char *name, EventPriority prio)
 {
     BPSIM_ASSERT(when >= now_,
                  "event '%s' scheduled in the past (%lld < %lld)",
                  name, static_cast<long long>(when),
                  static_cast<long long>(now_));
-    return queue.push(when, prio, std::move(fn), name);
+    return queue.push(when, prio, fn);
 }
 
 void
@@ -40,14 +39,16 @@ Simulator::runUntil(Time limit)
     stopping = false;
     const std::uint64_t executed_before = executed;
     while (!stopping && !queue.empty()) {
-        Time next = queue.nextTime();
+        const Time next = queue.nextTime();
         if (next > limit)
             break;
-        auto ev = queue.pop();
-        BPSIM_ASSERT(ev->when() >= now_, "time went backwards to %lld",
-                     static_cast<long long>(ev->when()));
-        now_ = ev->when();
-        ev->execute();
+        BPSIM_ASSERT(next >= now_, "time went backwards to %lld",
+                     static_cast<long long>(next));
+        now_ = next;
+        // pop() retires the event's slot, so run the returned copy: the
+        // callback may schedule events and grow the pool.
+        EventFn fn = queue.pop();
+        fn();
         ++executed;
     }
     if (limit != kTimeNever && now_ < limit && !stopping)

@@ -11,7 +11,6 @@
 #define BPSIM_SIM_SIMULATOR_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/event.hh"
 #include "sim/types.hh"
@@ -35,18 +34,18 @@ class Simulator
      * Schedule a callback after a non-negative delay from now.
      *
      * @param delay   Offset from the current time; must be >= 0.
-     * @param fn      Callback to run.
-     * @param name    Diagnostic label used in panic messages; a string
-     *                literal (the event keeps the pointer).
+     * @param fn      Callback to run (at most 32 bytes of trivially
+     *                copyable captures; see EventFn).
+     * @param name    Diagnostic label used in panic messages.
      * @param prio    Ordering class among same-timestamp events.
      * @return        Handle that can cancel the event.
      */
-    EventHandle schedule(Time delay, std::function<void()> fn,
+    EventHandle schedule(Time delay, EventFn fn,
                          const char *name = "event",
                          EventPriority prio = EventPriority::Normal);
 
     /** Schedule a callback at an absolute time >= now. */
-    EventHandle at(Time when, std::function<void()> fn,
+    EventHandle at(Time when, EventFn fn,
                    const char *name = "event",
                    EventPriority prio = EventPriority::Normal);
 

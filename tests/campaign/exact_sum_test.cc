@@ -258,6 +258,40 @@ TEST(ExactSum, FromJsonThenMoreAddsMatchesNeverSerialized)
     EXPECT_EQ(canonical(resumed), canonical(straight));
 }
 
+TEST(ExactSum, MergingADirtySumEqualsAddingItsValues)
+{
+    // merge() folds the other side's limbs as they are, without
+    // normalizing a copy first. Dirty limbs (out of canonical range,
+    // mixed signs) must still give the digits of adding the values.
+    std::vector<double> xs;
+    for (int i = 0; i < 3000; ++i)
+        xs.push_back((i % 3 ? 1.0 : -1.0) * 268435455.0 *
+                     std::ldexp(1.0, i % 7 - 3));
+    ExactSum dirty, direct;
+    for (const double x : xs) {
+        dirty.add(x);
+        direct.add(x);
+    }
+    ExactSum into;
+    into.add(-0.75);
+    into.merge(dirty);
+    direct.add(-0.75);
+    EXPECT_EQ(canonical(into), canonical(direct));
+    EXPECT_EQ(into.value(), direct.value());
+
+    // Doubling by merging a copy 40 times: the merged headroom compounds
+    // past the renormalization bound, which must still fire in time.
+    ExactSum doubled = dirty;
+    for (int k = 0; k < 40; ++k) {
+        const ExactSum copy = doubled;
+        doubled.merge(copy);
+    }
+    ExactSum scaled;
+    for (const double x : xs)
+        scaled.add(std::ldexp(x, 40));
+    EXPECT_EQ(canonical(doubled), canonical(scaled));
+}
+
 TEST(ExactSum, ZeroQuery)
 {
     ExactSum s;
